@@ -16,7 +16,7 @@ from .linmodel import LinearModel, build_bl, build_bn, build_bv, build_by, \
 from .logio import RunLog, emit_csv, emit_svg_plots, parse_csv
 from .metrics import Metrics, compute_metrics
 from .params import G, VehicleParams
-from .plant import PlantInputs, PlantState, TireOutputs, step_rk4
+from .plant import PlantInputs, PlantState, step_rk4
 from .scenario import ConfigError, Event, Scenario, load_scenario, \
     parse_scenario
 from .stability import max_closed_loop_eig
@@ -39,7 +39,6 @@ __all__ = [
     "PlantState",
     "RunLog",
     "Scenario",
-    "TireOutputs",
     "VehicleParams",
     "build_bl",
     "build_bn",

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linmodel import BN_EPS, C_ALPHA_DEFAULT
+from .linmodel import C_ALPHA_DEFAULT, bn_is_invertible
 from .params import G, VehicleParams
 
 
@@ -82,12 +82,6 @@ class AllocatorConfig:
     theta_bound_floor: float = 5.0     # box half-width where theta0 is ~0
     proj_margin: float = 0.05     # boundary-layer fraction of box width
     c_alpha: float = C_ALPHA_DEFAULT
-
-    def a_m(self) -> np.ndarray:
-        return -self.am_scale * np.eye(5)
-
-    def q(self) -> np.ndarray:
-        return np.eye(5)
 
 
 @dataclass
@@ -174,7 +168,7 @@ class AdaptiveAllocator:
 
         u_bar = self.u_scale * (self.theta @ v_s)
         bn = np.asarray(bn_diag, dtype=float)
-        bn_ok = bool(np.min(np.abs(bn)) > BN_EPS)
+        bn_ok = bn_is_invertible(bn)
         if bn_ok:
             u_ca = u_bar / bn
             self.prev_u_ca = u_ca

@@ -4,6 +4,7 @@ Subcommands::
 
     staballoc run <scenario-file> [--controller proposed|baseline|hybrid]
                   [--dt s] [--out dir] [--svg]
+    staballoc figures [--out dir]
     staballoc sweep <scenario-file> --controller X --vmin V --vmax V
                   [--resolution m/s]
     staballoc stability --v0 <m/s>
@@ -29,6 +30,17 @@ EXIT_OK = 0
 EXIT_DIVERGED = 2
 EXIT_CONFIG = 3
 
+SCENARIO_DIR = Path(__file__).resolve().parents[2] / "scenarios"
+
+# the shipped scenarios and the controllers each one compares
+FIGURE_PAIRS = (
+    ("low_speed", ("proposed", "baseline")),
+    ("high_speed", ("proposed", "baseline")),
+    ("varying_road", ("proposed", "baseline")),
+    ("actuator_fault", ("proposed", "baseline")),
+    ("suspension_fault", ("proposed", "hybrid")),
+)
+
 
 def _cmd_run(args: argparse.Namespace) -> int:
     scn = load_scenario(args.scenario)
@@ -52,6 +64,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
               f"{log.divergence_reason}", file=sys.stderr)
         return EXIT_DIVERGED
     return EXIT_OK
+
+
+def _cmd_figures(args: argparse.Namespace) -> int:
+    code = EXIT_OK
+    for name, controllers in FIGURE_PAIRS:
+        for controller in controllers:
+            run = argparse.Namespace(scenario=SCENARIO_DIR / f"{name}.scn",
+                                     controller=controller, dt=None,
+                                     out=args.out, svg=True)
+            code = max(code, _cmd_run(run))
+    return code
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -83,6 +106,12 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", default="out")
     run.add_argument("--svg", action="store_true")
     run.set_defaults(func=_cmd_run)
+
+    figs = sub.add_parser("figures",
+                          help="run every shipped scenario with the "
+                               "controllers it compares, with SVG plots")
+    figs.add_argument("--out", default="out")
+    figs.set_defaults(func=_cmd_figures)
 
     sweep = sub.add_parser("sweep", help="find the max stable initial speed")
     sweep.add_argument("scenario")

@@ -104,16 +104,15 @@ class _Loop:
     gains: Gains
     cs: ControllerState
     allocator: Optional[AdaptiveAllocator]
-    c_alpha: float
 
-    def command(self, t: float, delta_in: float, f_ref: float,
+    def command(self, delta_in: float, f_ref: float,
                 meas: Dict[str, float], dt: float, p: VehicleParams,
                 ) -> Tuple[np.ndarray, np.ndarray, float, float]:
         """Returns (u_commanded, v, r_ref, residual)."""
         normals = (meas["N_fl"], meas["N_fr"], meas["N_rl"], meas["N_rr"])
+        v, r_ref = virtual_control(delta_in, f_ref, meas, self.gains,
+                                   self.cs, dt, p)
         if self.mode == "baseline":
-            v, r_ref = virtual_control(delta_in, f_ref, meas, self.gains,
-                                       self.cs, dt, p)
             f_c = v[0]
             d_r = baseline_rear_steer(delta_in, meas["Vx"],
                                       normals[0] + normals[1],
@@ -125,8 +124,6 @@ class _Loop:
             u = np.array([delta_in, delta_in, d_r, d_r, *torques, *f_z])
             return np.clip(u, -U_LIMITS, U_LIMITS), np.zeros(5), r_ref, 0.0
 
-        v, r_ref = virtual_control(delta_in, f_ref, meas, self.gains,
-                                   self.cs, dt, p)
         if self.mode == "hybrid":
             v = v.copy()
             v[3] = 0.0
@@ -163,9 +160,10 @@ def run_scenario(scn: Scenario,
         g = g.with_overrides(scn.gain_overrides)
     acfg = alloc_config or AllocatorConfig()
     if scn.allocator_overrides:
-        for k in scn.allocator_overrides:
-            if not hasattr(acfg, k):
-                raise ValueError(f"unknown allocator setting {k!r}")
+        names = {f.name for f in dataclasses.fields(acfg)}
+        unknown = set(scn.allocator_overrides) - names
+        if unknown:
+            raise ValueError(f"unknown allocator settings: {sorted(unknown)}")
         acfg = dataclasses.replace(acfg, **scn.allocator_overrides)
     mode = controller or scn.controller
     dt = dt or scn.dt
@@ -175,7 +173,7 @@ def run_scenario(scn: Scenario,
     if mode in ("proposed", "hybrid"):
         allocator = AdaptiveAllocator(build_bl(p, acfg.c_alpha), acfg)
     loop = _Loop(mode=mode, gains=g, cs=ControllerState(),
-                 allocator=allocator, c_alpha=acfg.c_alpha)
+                 allocator=allocator)
 
     state = PlantState.cruising(scn.v0, p)
     prev_inputs = PlantInputs(
@@ -188,8 +186,7 @@ def run_scenario(scn: Scenario,
         meas = measure(state, prev_inputs, p)
         delta_in = scn.driver.steer_at(t)
         f_ref = scn.driver.force_ref(t)
-        u_cmd, v, r_ref, resid = loop.command(t, delta_in, f_ref, meas,
-                                              dt, p)
+        u_cmd, v, r_ref, resid = loop.command(delta_in, f_ref, meas, dt, p)
         u_eff = apply_faults(u_cmd, scn.events, t)
         inputs = PlantInputs.from_u(
             u_eff,

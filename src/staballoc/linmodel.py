@@ -19,9 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .params import VehicleParams
-from .plant import body_accelerations, normal_forces, \
-    vertical_derivatives, yaw_acceleration
-from .tires import magic_formula, slip_angles, wheel_frame_to_body
+from .plant import chassis_derivative
 
 N_X = 17
 N_U = 12
@@ -34,7 +32,10 @@ ZEROED_ROWS = (3, 4, 9, 10, 11, 12, 13, 14, 15, 16)
 
 C_ALPHA_DEFAULT = 8.0  # per-unit-normal-force cornering gain [1/rad]
 
-BN_EPS = 1.0e-6  # diagonal entries below this flag B_n as non-invertible
+BN_EPS = 1.0e-6  # |diagonal entries| below this flag B_n as non-invertible
+
+ZERO4 = (0.0, 0.0, 0.0, 0.0)
+UNIT4 = (1.0, 1.0, 1.0, 1.0)
 
 
 def reduced_derivative(x: Sequence[float], u: Sequence[float],
@@ -44,40 +45,12 @@ def reduced_derivative(x: Sequence[float], u: Sequence[float],
     Wheels are eliminated quasi-statically: the traction force of wheel i is
     T_i/R_w, with rolling resistance deliberately left unmodeled here (the
     closed loop treats it as a disturbance).  Lateral forces use the full
-    tire curve at the slip angles implied by the state.
+    tire curve at the slip angles implied by the state; the road is flat
+    and level with nominal friction.
     """
-    v_x, v_y, r = x[0], x[1], x[2]
-    steer = (u[0], u[1], u[2], u[3])
-    torque = (u[4], u[5], u[6], u[7])
-    f_z = (u[8], u[9], u[10], u[11])
-
-    zu = (x[9], x[11], x[13], x[15])
-    zroad = (0.0, 0.0, 0.0, 0.0)
-    normals = normal_forces(zu, zroad, p)
-    alphas = slip_angles(v_x, v_y, r, steer, p)
-
-    fx_body = [0.0] * 4
-    fy_body = [0.0] * 4
-    for i in range(4):
-        f_x = torque[i] / p.R_w
-        f_y = magic_formula(alphas[i], p.B2, p.C2, p.E2, p.mu * normals[i])
-        fx_body[i], fy_body[i] = wheel_frame_to_body(f_x, f_y, steer[i])
-
-    a_x, a_y = body_accelerations(sum(fx_body), sum(fy_body), v_x, 0.0, p)
-    rdot = yaw_acceleration(fx_body, fy_body, p)
-    x24 = list(x) + [0.0] * 7
-    zdd, thetadd, phidd, zudd_fl, zudd_fr, zudd_rl, zudd_rr = \
-        vertical_derivatives(x24, f_z, a_x, a_y, zroad, p)
-
-    return np.array([
-        a_x + r * v_y,
-        a_y - r * v_x,
-        rdot,
-        x[4], zdd,
-        x[6], phidd,
-        x[8], thetadd,
-        x[10], zudd_fl, x[12], zudd_fr, x[14], zudd_rl, x[16], zudd_rr,
-    ])
+    f_x = [t / p.R_w for t in u[4:8]]
+    return np.array(chassis_derivative(x, f_x, u[0:4], u[8:12], ZERO4,
+                                       UNIT4, 0.0, p))
 
 
 @dataclass(frozen=True)
@@ -92,8 +65,6 @@ class LinearModel:
     b_u: np.ndarray     # 17 x 12
     d: np.ndarray       # 17
     v0: float
-    steer0: tuple
-    normals0: tuple
 
 
 def linearize(p: VehicleParams, v0: float,
@@ -128,10 +99,7 @@ def linearize(p: VehicleParams, v0: float,
     b_u[list(ZEROED_ROWS), :] = 0.0
 
     d = reduced_derivative(x0, u0, p)
-    normals = (p.N_front_static, p.N_front_static,
-               p.N_rear_static, p.N_rear_static)
-    return LinearModel(a=a, b_u=b_u, d=d, v0=v0,
-                       steer0=(0.0,) * 4, normals0=normals)
+    return LinearModel(a=a, b_u=b_u, d=d, v0=v0)
 
 
 def build_bv(p: VehicleParams) -> np.ndarray:
@@ -185,7 +153,8 @@ def build_bn(steer: Sequence[float], normals: Sequence[float],
 
 
 def bn_is_invertible(bn_diag: np.ndarray, eps: float = BN_EPS) -> bool:
-    return bool(np.min(bn_diag) > eps)
+    """True when every diagonal entry of B_n is bounded away from zero."""
+    return bool(np.min(np.abs(bn_diag)) > eps)
 
 
 def build_by(steer: Sequence[float], normals: Sequence[float],

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
-
 from .logio import RunLog
 
 OBSTACLE_X = 100.0            # m, obstacle line of the avoidance maneuver
@@ -22,7 +20,6 @@ class Metrics:
     rms_pitch: float          # rad
     lateral_offset: float     # |Y| when X first crosses the obstacle line;
                               # NaN if the line is never reached
-    max_stable_speed: Optional[float] = None  # filled by speed sweeps
 
 
 def _rms(values) -> float:

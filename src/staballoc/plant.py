@@ -119,17 +119,6 @@ class PlantInputs:
                    f_z=tuple(u[8:12]), **env)
 
 
-@dataclass(frozen=True)
-class TireOutputs:
-    """Per-tire quantities (fl, fr, rl, rr) for logging and tests."""
-    slip: Tuple[float, float, float, float]
-    alpha: Tuple[float, float, float, float]
-    f_x: Tuple[float, float, float, float]
-    f_y: Tuple[float, float, float, float]
-    normal: Tuple[float, float, float, float]
-    rolling: Tuple[float, float, float, float]
-
-
 def normal_forces(z_u: Sequence[float], z_road: Sequence[float],
                   p: VehicleParams) -> Tuple[float, float, float, float]:
     """Tire normal loads: static preload plus tire-spring deflection, clamped
@@ -236,55 +225,31 @@ def vertical_derivatives(state: Sequence[float], f_z: Sequence[float],
     return zdd, thetadd, phidd, zudd_fl, zudd_fr, zudd_rl, zudd_rr
 
 
-def tire_outputs(x: Sequence[float], u: PlantInputs, p: VehicleParams) -> TireOutputs:
-    """Evaluate all per-tire quantities at one state/input pair."""
-    v_x = x[0]
-    zu = (x[9], x[11], x[13], x[15])
-    normals = normal_forces(zu, u.z_road, p)
-    alphas = slip_angles(v_x, x[1], x[2], u.steer, p)
-    slips, fx, fy, roll = [], [], [], []
-    for i in range(4):
-        lam = longitudinal_slip(v_x, x[17 + i], p.R_w)
-        n = normals[i]
-        slips.append(lam)
-        fx.append(magic_formula(lam, p.B1, p.C1, p.E1, p.mu * n))
-        fy.append(magic_formula(alphas[i], p.B2, p.C2, p.E2,
-                                p.mu * n * u.lat_scale[i]))
-        roll.append(rolling_resistance(n, v_x, p.p0, p.p1, p.p2))
-    return TireOutputs(tuple(slips), tuple(alphas), tuple(fx), tuple(fy),
-                       normals, tuple(roll))
+def chassis_derivative(x: Sequence[float], f_x: Sequence[float],
+                       steer: Sequence[float], f_z: Sequence[float],
+                       z_road: Sequence[float], lat_scale: Sequence[float],
+                       slope: float, p: VehicleParams) -> List[float]:
+    """Derivatives of the 17 control-oriented states.
 
-
-def state_derivative(x: Sequence[float], u: PlantInputs,
-                     p: VehicleParams) -> List[float]:
-    """Full state derivative; pure and deterministic in its arguments."""
+    The tire-frame longitudinal forces f_x are given; the lateral forces
+    follow from the tire curve at the slip angles and normal loads implied
+    by the state, with the peak scaled per tire by lat_scale.
+    """
     v_x, v_y, r = x[0], x[1], x[2]
-
-    tires = tire_outputs(x, u, p)
+    normals = normal_forces((x[9], x[11], x[13], x[15]), z_road, p)
+    alphas = slip_angles(v_x, v_y, r, steer, p)
     fx_body = [0.0] * 4
     fy_body = [0.0] * 4
     for i in range(4):
-        bx, by = wheel_frame_to_body(tires.f_x[i], tires.f_y[i], u.steer[i])
-        fx_body[i] = bx
-        fy_body[i] = by
+        f_y = magic_formula(alphas[i], p.B2, p.C2, p.E2,
+                            p.mu * normals[i] * lat_scale[i])
+        fx_body[i], fy_body[i] = wheel_frame_to_body(f_x[i], f_y, steer[i])
 
-    a_x, a_y = body_accelerations(sum(fx_body), sum(fy_body), v_x, u.slope, p)
+    a_x, a_y = body_accelerations(sum(fx_body), sum(fy_body), v_x, slope, p)
     rdot = yaw_acceleration(fx_body, fy_body, p)
 
     zdd, thetadd, phidd, zudd_fl, zudd_fr, zudd_rl, zudd_rr = \
-        vertical_derivatives(x, u.f_z, a_x, a_y, u.z_road, p)
-
-    wdot = [0.0] * 4
-    for i in range(4):
-        omega = x[17 + i]
-        sgn = 1.0 if omega > 0.0 else (-1.0 if omega < 0.0 else 0.0)
-        wdot[i] = wheel_spin_derivative(
-            u.torque[i], u.brake[i] * sgn, tires.rolling[i] * sgn,
-            tires.f_x[i], p)
-
-    psi = x[23]
-    cpsi = math.cos(psi)
-    spsi = math.sin(psi)
+        vertical_derivatives(x, f_z, a_x, a_y, z_road, p)
 
     return [
         a_x + r * v_y,          # Vx' (body frame rotating at r)
@@ -294,11 +259,37 @@ def state_derivative(x: Sequence[float], u: PlantInputs,
         x[6], phidd,            # phi', phid'
         x[8], thetadd,          # theta', thetad'
         x[10], zudd_fl, x[12], zudd_fr, x[14], zudd_rl, x[16], zudd_rr,
-        wdot[0], wdot[1], wdot[2], wdot[3],
-        v_x * cpsi - v_y * spsi,   # X'
-        v_x * spsi + v_y * cpsi,   # Y'
-        r,                         # psi'
     ]
+
+
+def state_derivative(x: Sequence[float], u: PlantInputs,
+                     p: VehicleParams) -> List[float]:
+    """Full state derivative; pure and deterministic in its arguments."""
+    v_x, v_y, r = x[0], x[1], x[2]
+    normals = normal_forces((x[9], x[11], x[13], x[15]), u.z_road, p)
+
+    f_x = [0.0] * 4
+    wdot = [0.0] * 4
+    for i in range(4):
+        n = normals[i]
+        omega = x[17 + i]
+        f_x[i] = magic_formula(longitudinal_slip(v_x, omega, p.R_w),
+                               p.B1, p.C1, p.E1, p.mu * n)
+        sgn = 1.0 if omega > 0.0 else (-1.0 if omega < 0.0 else 0.0)
+        wdot[i] = wheel_spin_derivative(
+            u.torque[i], u.brake[i] * sgn,
+            rolling_resistance(n, v_x, p.p0, p.p1, p.p2) * sgn, f_x[i], p)
+
+    out = chassis_derivative(x, f_x, u.steer, u.f_z, u.z_road, u.lat_scale,
+                             u.slope, p)
+    psi = x[23]
+    cpsi = math.cos(psi)
+    spsi = math.sin(psi)
+    out += wdot
+    out += (v_x * cpsi - v_y * spsi,   # X'
+            v_x * spsi + v_y * cpsi,   # Y'
+            r)                         # psi'
+    return out
 
 
 def rk4(f: Callable[[Sequence[float]], Sequence[float]],

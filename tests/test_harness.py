@@ -227,10 +227,11 @@ class TestSweep:
 
 
 class TestStabilityCheck:
-    def test_reference_dynamics_scale(self):
+    def test_reference_dynamics_scale(self, params):
         # the allocator reference matrix is -10 I by default
-        from staballoc.allocator import AllocatorConfig
-        eigs = np.linalg.eigvals(AllocatorConfig().a_m())
+        from staballoc.allocator import AdaptiveAllocator
+        from staballoc.linmodel import build_bl
+        eigs = np.linalg.eigvals(AdaptiveAllocator(build_bl(params)).a_m)
         assert np.max(eigs.real) == pytest.approx(-10.0)
 
     def test_default_gains_stable_at_both_speeds(self, params):
@@ -268,6 +269,36 @@ class TestCli:
         bad = tmp_path / "bad.scn"
         bad.write_text("[scenario]\nv0 = 10\n")
         assert cli_main(["run", str(bad)]) == 3
+
+    @pytest.mark.parametrize("key", ["bogus", "q", "a_m"])
+    def test_unknown_allocator_setting_is_config_error(self, tmp_path, key,
+                                                       capsys):
+        scn_file = tmp_path / "short.scn"
+        scn_file.write_text(SHORT + f"\n[allocator]\n{key} = 1\n")
+        assert cli_main(["run", str(scn_file), "--out",
+                         str(tmp_path / "out")]) == 3
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_figures_runs_every_pair(self, tmp_path, monkeypatch, capsys):
+        from staballoc import cli
+        (tmp_path / "short.scn").write_text(SHORT)
+        monkeypatch.setattr(cli, "SCENARIO_DIR", tmp_path)
+        monkeypatch.setattr(cli, "FIGURE_PAIRS",
+                            (("short", ("proposed", "baseline")),))
+        out = tmp_path / "out"
+        assert cli_main(["figures", "--out", str(out)]) == 0
+        for ctrl in ("proposed", "baseline"):
+            assert (out / f"short_{ctrl}.csv").exists()
+            assert (out / f"short_{ctrl}_trajectory.svg").exists()
+        assert capsys.readouterr().out.count("max|beta|=") == 2
+
+    def test_figure_pairs_name_shipped_scenarios(self, scenario_dir):
+        from staballoc import cli
+        from staballoc.scenario import CONTROLLERS
+        assert cli.SCENARIO_DIR == scenario_dir
+        for name, controllers in cli.FIGURE_PAIRS:
+            assert (scenario_dir / f"{name}.scn").is_file()
+            assert set(controllers) <= set(CONTROLLERS)
 
     def test_diverged_run_exit_code(self, tmp_path):
         scn_file = tmp_path / "blowup.scn"

@@ -6,6 +6,7 @@ import pytest
 from staballoc.linmodel import (ZEROED_ROWS, bn_is_invertible, build_bl,
                                 build_bn, build_bv, build_by, build_d,
                                 linearize, reduced_derivative)
+from staballoc.plant import PlantInputs, PlantState, state_derivative
 
 STATIC_STEER = (0.0, 0.0, 0.0, 0.0)
 
@@ -13,6 +14,32 @@ STATIC_STEER = (0.0, 0.0, 0.0, 0.0)
 def static_normals(p):
     return (p.N_front_static, p.N_front_static,
             p.N_rear_static, p.N_rear_static)
+
+
+class TestOneModel:
+    def test_reduced_field_matches_plant_at_free_rolling(self, params):
+        # with zero torque and w_i = Vx/R_w the tire-curve longitudinal
+        # force is zero, as is the reduced model's T_i/R_w, so both vector
+        # fields must agree on the 17 control states
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            s = PlantState.cruising(rng.uniform(5.0, 30.0), params)
+            s.Vy = rng.uniform(-2.0, 2.0)
+            s.r = rng.uniform(-0.5, 0.5)
+            for name in ("z", "phi", "theta"):
+                setattr(s, name, rng.uniform(-0.03, 0.03))
+            for name in ("zd", "phid", "thetad"):
+                setattr(s, name, rng.uniform(-0.3, 0.3))
+            for w in ("fl", "fr", "rl", "rr"):
+                setattr(s, f"z_u{w}", rng.uniform(-0.01, 0.01))
+                setattr(s, f"zd_u{w}", rng.uniform(-0.2, 0.2))
+            u = np.zeros(12)
+            u[0:4] = rng.uniform(-0.4, 0.4, 4)
+            u[8:12] = rng.uniform(-4000.0, 4000.0, 4)
+            x = s.as_list()
+            full = state_derivative(x, PlantInputs.from_u(u), params)
+            red = reduced_derivative(x[:17], u, params)
+            np.testing.assert_allclose(full[:17], red, rtol=1e-9, atol=0.0)
 
 
 class TestLinearize:
@@ -96,6 +123,14 @@ class TestFactorization:
         steer = (math.pi / 2.0, 0.0, 0.0, 0.0)
         b_n = build_bn(steer, static_normals(params), params)
         assert not bn_is_invertible(b_n)
+
+    def test_bn_negative_entries_are_invertible(self, params):
+        # the allocator's unclipped steering command can pass 90 deg,
+        # flipping the sign of cos(d) but not the invertibility
+        steer = (2.0, -2.0, 0.0, 0.0)
+        b_n = build_bn(steer, static_normals(params), params)
+        assert np.min(b_n) < 0.0
+        assert bn_is_invertible(b_n)
 
     def test_by_torque_columns_at_zero_steer(self, params):
         b_y = build_by(STATIC_STEER, static_normals(params), params)

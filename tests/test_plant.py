@@ -5,9 +5,10 @@ import pytest
 from staballoc.params import G, VehicleParams
 from staballoc.plant import (PlantInputs, PlantState,
                              body_accelerations, normal_forces, rk4,
-                             state_derivative, step_rk4, tire_outputs,
+                             state_derivative, step_rk4,
                              vertical_derivatives, wheel_spin_derivative,
                              yaw_acceleration)
+from staballoc.tires import longitudinal_slip, magic_formula, slip_angles
 
 ZERO4 = (0.0, 0.0, 0.0, 0.0)
 
@@ -148,11 +149,18 @@ class TestForceBounds:
         for k in range(600):
             s = step_rk4(s, u, params, 1e-3)
             if k % 50 == 0:
-                t = tire_outputs(s.as_list(), u, params)
+                x = s.as_list()
+                normals = normal_forces(x[9:17:2], u.z_road, params)
+                alphas = slip_angles(x[0], x[1], x[2], u.steer, params)
                 for i in range(4):
-                    cap = params.mu * t.normal[i] + 1e-9
-                    assert abs(t.f_x[i]) <= cap
-                    assert abs(t.f_y[i]) <= cap
+                    peak = params.mu * normals[i]
+                    lam = longitudinal_slip(x[0], x[17 + i], params.R_w)
+                    f_x = magic_formula(lam, params.B1, params.C1,
+                                        params.E1, peak)
+                    f_y = magic_formula(alphas[i], params.B2, params.C2,
+                                        params.E2, peak)
+                    assert abs(f_x) <= peak + 1e-9
+                    assert abs(f_y) <= peak + 1e-9
 
 
 class TestIntegrator:
