@@ -11,8 +11,8 @@ from .allocator import AdaptiveAllocator, AllocatorConfig, measured_net, \
 from .controllers import ControllerState, DriverInput, Gains, \
     PiecewiseLinear
 from .harness import run_scenario, sweep_max_speed
-from .linmodel import LinearModel, build_bl, build_bn, build_bv, build_by, \
-    build_d, linearize
+from .linmodel import LinearModel, build_bl, build_bn, build_bv, build_d, \
+    linearize
 from .logio import RunLog, emit_csv, emit_svg_plots, parse_csv
 from .metrics import Metrics, compute_metrics
 from .params import G, VehicleParams
@@ -43,7 +43,6 @@ __all__ = [
     "build_bl",
     "build_bn",
     "build_bv",
-    "build_by",
     "build_d",
     "compute_metrics",
     "emit_csv",

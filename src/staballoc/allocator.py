@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .linmodel import C_ALPHA_DEFAULT, bn_is_invertible
-from .params import G, VehicleParams
+from .params import G, ConfigError, VehicleParams
 
 
 def solve_lyapunov(a_m: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -74,7 +74,9 @@ def project_rate(theta: np.ndarray, raw: np.ndarray,
 
 @dataclass
 class AllocatorConfig:
-    """Adaptation configuration; defaults match the shipped scenarios."""
+    """Adaptation configuration; defaults match the shipped scenarios.
+
+    Every setting is checked when the config is built (ConfigError)."""
     am_scale: float = 10.0        # A_m = -am_scale * I
     gamma: float = 5000.0         # adaptation rate (normalized coordinates)
     v_scale: float = 1.0e4        # effort pre-scaling to order one
@@ -82,6 +84,17 @@ class AllocatorConfig:
     theta_bound_floor: float = 5.0     # box half-width where theta0 is ~0
     proj_margin: float = 0.05     # boundary-layer fraction of box width
     c_alpha: float = C_ALPHA_DEFAULT
+
+    def __post_init__(self) -> None:
+        for name in ("am_scale", "gamma", "v_scale", "theta_bound_factor",
+                     "theta_bound_floor", "c_alpha"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ConfigError(f"allocator {name} must be positive and "
+                                  f"finite, not {value!r}")
+        if not 0.0 < self.proj_margin < 1.0:
+            raise ConfigError(f"allocator proj_margin must be in (0, 1), "
+                              f"not {self.proj_margin!r}")
 
 
 @dataclass

@@ -9,7 +9,9 @@ Subcommands::
                   [--resolution m/s]
     staballoc stability --v0 <m/s>
 
-Exit codes: 0 completed, 2 the plant diverged, 3 configuration error.
+Exit codes: 0 completed, 2 the plant diverged, 3 configuration error
+(ConfigError: a bad scenario file, setting or argument).  Any other error
+during a run propagates with its traceback.
 """
 from __future__ import annotations
 
@@ -86,6 +88,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_stability(args: argparse.Namespace) -> int:
+    if not 0.0 < args.v0 < math.inf:
+        raise ConfigError(f"--v0 must be positive, not {args.v0!r}")
     p = VehicleParams()
     worst = max_closed_loop_eig(Gains(), args.v0, p)
     print(f"max Re(eig) of the closed loop at v0={args.v0:g} m/s: "
@@ -133,9 +137,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Dict, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-import numpy as np
-
-from .params import G, VehicleParams
+from .params import G, ConfigError, VehicleParams
+from .plant import clip
 
 
 @dataclass(frozen=True)
@@ -126,7 +125,7 @@ class Gains:
         names = {f.name for f in fields(self)}
         unknown = set(overrides) - names
         if unknown:
-            raise ValueError(f"unknown gain names: {sorted(unknown)}")
+            raise ConfigError(f"unknown gain names: {sorted(unknown)}")
         return replace(self, **overrides)
 
 
@@ -164,8 +163,11 @@ def yaw_rate_reference(delta_in: float, v_x: float, g: Gains,
 
 def virtual_control(delta_in: float, f_ref: float, meas: Dict[str, float],
                     g: Gains, cs: ControllerState, dt: float,
-                    p: VehicleParams) -> Tuple[np.ndarray, float]:
+                    p: VehicleParams) -> Tuple[List[float], float]:
     """One sample of the virtual control vector and the yaw-rate reference.
+
+    Each entry is clamped to its demand limit; a NaN passes through so the
+    plant's divergence check sees it.
 
     meas must provide F (longitudinal force m*a_x), beta, r, Vx, phi, phid,
     theta, thetad.
@@ -197,9 +199,9 @@ def virtual_control(delta_in: float, f_ref: float, meas: Dict[str, float],
     m_y = -g.kp_pitch * meas["theta"] - g.kd_pitch * meas["thetad"] \
         - g.ki_pitch * cs.i_pitch
 
-    caps = (g.v_max_f, g.v_max_fy, g.v_max_mz, g.v_max_mx, g.v_max_my)
-    v = np.array([f_c, f_yc, m_z, m_x, m_y])
-    return np.clip(v, [-c for c in caps], caps), r_ref
+    return [clip(f_c, g.v_max_f), clip(f_yc, g.v_max_fy),
+            clip(m_z, g.v_max_mz), clip(m_x, g.v_max_mx),
+            clip(m_y, g.v_max_my)], r_ref
 
 
 def baseline_rear_steer(delta_f: float, v_x: float, n_front: float,

@@ -19,7 +19,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,12 +32,18 @@ from .logio import RunLog
 from .metrics import compute_metrics
 from .params import VehicleParams
 from .plant import (PlantInputs, PlantState, STEER_LIMIT, SUSPENSION_LIMIT,
-                    TORQUE_LIMIT, normal_forces, state_derivative, step_rk4)
-from .scenario import Event, Scenario, TIRE_SETS, ACTUATOR_NAMES
+                    TORQUE_LIMIT, clip, normal_forces, state_derivative,
+                    step_rk4)
+from .scenario import (ACTUATOR_NAMES, TIRE_SETS, ConfigError, Event,
+                       Scenario, check_step)
 from .tires import _reg
 
-U_LIMITS = np.array([STEER_LIMIT] * 4 + [TORQUE_LIMIT] * 4
-                    + [SUSPENSION_LIMIT] * 4)
+U_LIMITS = (STEER_LIMIT,) * 4 + (TORQUE_LIMIT,) * 4 + (SUSPENSION_LIMIT,) * 4
+
+
+def clip_u(u: Sequence[float]) -> List[float]:
+    """The 12-entry actuator vector clamped to the physical envelope."""
+    return [clip(x, lim) for x, lim in zip(u, U_LIMITS)]
 
 
 def apply_faults(u_commanded: np.ndarray, events: Sequence[Event],
@@ -107,8 +113,8 @@ class _Loop:
 
     def command(self, delta_in: float, f_ref: float,
                 meas: Dict[str, float], dt: float, p: VehicleParams,
-                ) -> Tuple[np.ndarray, np.ndarray, float, float]:
-        """Returns (u_commanded, v, r_ref, residual)."""
+                ) -> Tuple[List[float], List[float], float, float]:
+        """Returns (u_commanded, v, r_ref, residual), all in floats."""
         normals = (meas["N_fl"], meas["N_fr"], meas["N_rl"], meas["N_rr"])
         v, r_ref = virtual_control(delta_in, f_ref, meas, self.gains,
                                    self.cs, dt, p)
@@ -121,11 +127,10 @@ class _Loop:
             torques = baseline_traction(f_c, normals, p)
             f_z = baseline_suspension(meas["theta"], meas["phi"],
                                       self.gains, self.cs, dt)
-            u = np.array([delta_in, delta_in, d_r, d_r, *torques, *f_z])
-            return np.clip(u, -U_LIMITS, U_LIMITS), np.zeros(5), r_ref, 0.0
+            u = [delta_in, delta_in, d_r, d_r, *torques, *f_z]
+            return clip_u(u), [0.0] * 5, r_ref, 0.0
 
         if self.mode == "hybrid":
-            v = v.copy()
             v[3] = 0.0
             v[4] = 0.0
         realized = measured_net(meas["ax"], meas["ay"], meas["yaw_acc"],
@@ -135,12 +140,11 @@ class _Loop:
         steer_prev = tuple(alloc.prev_u_ca[0:4])
         bn = build_bn(steer_prev, normals, p)
         res = alloc.step(v, realized, bn, dt, delta_in=delta_in)
-        u = res.u
+        u = res.u.tolist()
         if self.mode == "hybrid":
-            u = u.copy()
             u[8:12] = baseline_suspension(meas["theta"], meas["phi"],
                                           self.gains, self.cs, dt)
-        return np.clip(u, -U_LIMITS, U_LIMITS), v, r_ref, res.residual
+        return clip_u(u), v, r_ref, res.residual
 
 
 def run_scenario(scn: Scenario,
@@ -152,8 +156,11 @@ def run_scenario(scn: Scenario,
     """Simulate one scenario and return the per-step log.
 
     Explicit arguments override the scenario file; the run stops early with
-    a partial log when the plant diverges.
+    a partial log when the plant diverges.  A dt that is not positive or
+    does not divide the horizon raises ConfigError before any step.
     """
+    dt = scn.dt if dt is None else dt
+    n_steps = check_step(dt, scn.horizon)
     p = params or VehicleParams()
     g = gains or Gains()
     if scn.gain_overrides:
@@ -163,11 +170,9 @@ def run_scenario(scn: Scenario,
         names = {f.name for f in dataclasses.fields(acfg)}
         unknown = set(scn.allocator_overrides) - names
         if unknown:
-            raise ValueError(f"unknown allocator settings: {sorted(unknown)}")
+            raise ConfigError(f"unknown allocator settings: {sorted(unknown)}")
         acfg = dataclasses.replace(acfg, **scn.allocator_overrides)
     mode = controller or scn.controller
-    dt = dt or scn.dt
-    n_steps = int(round(scn.horizon / dt))
 
     allocator = None
     if mode in ("proposed", "hybrid"):
@@ -187,7 +192,7 @@ def run_scenario(scn: Scenario,
         delta_in = scn.driver.steer_at(t)
         f_ref = scn.driver.force_ref(t)
         u_cmd, v, r_ref, resid = loop.command(delta_in, f_ref, meas, dt, p)
-        u_eff = apply_faults(u_cmd, scn.events, t)
+        u_eff = apply_faults(u_cmd, scn.events, t).tolist()
         inputs = PlantInputs.from_u(
             u_eff,
             lat_scale=friction_scale(scn.events, t),
@@ -232,10 +237,13 @@ def sweep_max_speed(scn: Scenario, controller: str,
 
     Survival: no spin flag, no divergence, and max |beta| below beta_limit.
     Bisection to the given resolution, assuming a single stability
-    threshold in the range.  Returns NaN when even v_min fails.
+    threshold in the range.  Returns NaN when even v_min fails; an empty
+    range or a non-positive resolution raises ConfigError.
     """
-    if v_max < v_min:
-        raise ValueError("empty speed range")
+    if not v_min <= v_max:
+        raise ConfigError(f"empty speed range [{v_min!r}, {v_max!r}]")
+    if not resolution > 0.0:
+        raise ConfigError(f"resolution must be positive, not {resolution!r}")
 
     def stable(v0: float) -> bool:
         log = run_scenario(scn.with_speed(v0), params=params, gains=gains,

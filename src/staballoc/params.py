@@ -3,7 +3,8 @@
 Defaults describe the mid-size passenger car used in every shipped scenario.
 Tire curve coefficients, rolling-resistance coefficients and the friction
 scale are configurable; the remaining entries are the stock vehicle data.
-All quantities are SI.
+All quantities are SI.  :class:`ConfigError` lives here, the lowest layer,
+so every module that checks user configuration can raise it.
 """
 from __future__ import annotations
 
@@ -11,6 +12,11 @@ import math
 from dataclasses import dataclass, field, fields
 
 G = 9.81  # gravitational acceleration [m/s^2]
+
+
+class ConfigError(ValueError):
+    """Raised for malformed or inconsistent configuration: scenario files,
+    gain and allocator settings, and command-line arguments."""
 
 
 @dataclass(frozen=True)

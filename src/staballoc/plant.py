@@ -67,7 +67,13 @@ class PlantState:
     diverged: bool = False
 
     def as_list(self) -> List[float]:
-        return [getattr(self, name) for name in STATE_NAMES]
+        """The 24 state entries in STATE_NAMES order."""
+        return [self.Vx, self.Vy, self.r, self.z, self.zd, self.phi,
+                self.phid, self.theta, self.thetad,
+                self.z_ufl, self.zd_ufl, self.z_ufr, self.zd_ufr,
+                self.z_url, self.zd_url, self.z_urr, self.zd_urr,
+                self.w_fl, self.w_fr, self.w_rl, self.w_rr,
+                self.X, self.Y, self.psi]
 
     @classmethod
     def from_list(cls, values: Sequence[float], diverged: bool = False) -> "PlantState":
@@ -80,12 +86,19 @@ class PlantState:
         return cls(Vx=v0, w_fl=w, w_fr=w, w_rl=w, w_rr=w)
 
 
-def _clip(x: float, lim: float) -> float:
+def clip(x: float, lim: float) -> float:
+    """Clamp x to [-lim, lim]; NaN passes through, as with numpy.clip."""
     if x > lim:
         return lim
     if x < -lim:
         return -lim
     return x
+
+
+def _inside(xs: Sequence[float], lim: float) -> bool:
+    """True only if clipping xs to [-lim, lim] would leave every entry as
+    it is."""
+    return -lim <= min(xs) and max(xs) <= lim
 
 
 @dataclass(frozen=True)
@@ -104,10 +117,12 @@ class PlantInputs:
     lat_scale: Tuple[float, float, float, float] = (1.0, 1.0, 1.0, 1.0)
 
     def __post_init__(self) -> None:
-        set_ = object.__setattr__
-        set_(self, "steer", tuple(_clip(x, STEER_LIMIT) for x in self.steer))
-        set_(self, "torque", tuple(_clip(x, TORQUE_LIMIT) for x in self.torque))
-        set_(self, "f_z", tuple(_clip(x, SUSPENSION_LIMIT) for x in self.f_z))
+        for name, lim in (("steer", STEER_LIMIT), ("torque", TORQUE_LIMIT),
+                          ("f_z", SUSPENSION_LIMIT)):
+            xs = getattr(self, name)
+            if type(xs) is not tuple or not _inside(xs, lim):
+                object.__setattr__(self, name,
+                                   tuple([clip(x, lim) for x in xs]))
         if any(t < 0.0 for t in self.brake):
             raise ValueError("brake torques must be non-negative")
 
@@ -317,7 +332,8 @@ def step_rk4(state: PlantState, inputs: PlantInputs, p: VehicleParams,
     if state.diverged:
         return state
     nxt = rk4(lambda v: state_derivative(v, inputs, p), state.as_list(), dt)
-    bad = any(not math.isfinite(v) or abs(v) > blow_up for v in nxt)
-    if bad:
+    # a finite sum means every entry is finite (inf or NaN would propagate)
+    if not (math.isfinite(sum(nxt))
+            and -blow_up <= min(nxt) and max(nxt) <= blow_up):
         return replace(state, diverged=True)
     return PlantState.from_list(nxt)

@@ -28,11 +28,13 @@ gains and allocator settings for the run.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
 from .controllers import DriverInput, PiecewiseLinear
+from .params import ConfigError
 
 CONTROLLERS = ("proposed", "baseline", "hybrid")
 
@@ -48,10 +50,6 @@ TIRE_SETS = {
     "front": (0, 1), "rear": (2, 3),
     "all": (0, 1, 2, 3),
 }
-
-
-class ConfigError(Exception):
-    """Raised for malformed or inconsistent scenario files."""
 
 
 @dataclass(frozen=True)
@@ -82,6 +80,22 @@ class Scenario:
     @property
     def n_steps(self) -> int:
         return int(round(self.horizon / self.dt))
+
+
+def check_step(dt: float, horizon: float) -> int:
+    """Number of steps of size dt in the horizon.
+
+    Raises ConfigError unless both are positive and finite and dt divides
+    the horizon into a whole number (at least one) of steps.
+    """
+    if not (0.0 < dt < math.inf and 0.0 < horizon < math.inf):
+        raise ConfigError(f"dt and horizon must be positive "
+                          f"(dt={dt!r}, horizon={horizon!r})")
+    steps = horizon / dt
+    n = round(steps)
+    if n < 1 or abs(steps - n) > 1.0e-6:
+        raise ConfigError(f"dt={dt!r} must divide the horizon {horizon!r}")
+    return n
 
 
 def _parse_profile(text: str, where: str) -> PiecewiseLinear:
@@ -165,11 +179,7 @@ def parse_scenario(text: str, name: Optional[str] = None) -> Scenario:
     controller = sc.get("controller", "proposed")
     if controller not in CONTROLLERS:
         raise ConfigError(f"unknown controller {controller!r}")
-    if dt <= 0.0 or horizon <= 0.0:
-        raise ConfigError("dt and horizon must be positive")
-    steps = horizon / dt
-    if abs(steps - round(steps)) > 1.0e-6:
-        raise ConfigError("dt must divide the horizon")
+    check_step(dt, horizon)
     if v0 < 0.0:
         raise ConfigError("v0 must be non-negative")
 

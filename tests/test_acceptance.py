@@ -8,11 +8,12 @@ import math
 import numpy as np
 import pytest
 
+from effort_map import build_by
 from staballoc.allocator import AdaptiveAllocator, AllocatorConfig, \
     solve_lyapunov
 from staballoc.controllers import Gains
 from staballoc.harness import run_scenario, sweep_max_speed
-from staballoc.linmodel import build_bl, build_bn, build_by, linearize, \
+from staballoc.linmodel import build_bl, build_bn, linearize, \
     reduced_derivative
 from staballoc.logio import emit_csv
 from staballoc.metrics import compute_metrics

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,30 @@ from staballoc.allocator import (AdaptiveAllocator, AllocatorConfig,
                                  init_theta, measured_net, project_rate,
                                  solve_lyapunov)
 from staballoc.linmodel import build_bl, build_bn
-from staballoc.params import VehicleParams
+from staballoc.params import ConfigError, VehicleParams
+
+
+class TestConfig:
+    POSITIVE = ("am_scale", "gamma", "v_scale", "theta_bound_factor",
+                "theta_bound_floor", "c_alpha")
+
+    def test_defaults_accepted(self):
+        AllocatorConfig()
+
+    @pytest.mark.parametrize("name", POSITIVE)
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_non_positive_setting_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            AllocatorConfig(**{name: value})
+
+    @pytest.mark.parametrize("margin", [0.0, 1.0, -0.05, 1.5, math.nan])
+    def test_proj_margin_outside_unit_interval_rejected(self, margin):
+        with pytest.raises(ConfigError, match="proj_margin"):
+            AllocatorConfig(proj_margin=margin)
+
+    def test_overrides_are_validated(self):
+        with pytest.raises(ConfigError, match="gamma"):
+            dataclasses.replace(AllocatorConfig(), gamma=-5000.0)
 
 
 class TestLyapunovSolver:

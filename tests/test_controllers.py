@@ -85,6 +85,13 @@ class TestVirtualControl:
                                ControllerState(), 1e-3, params)
         assert v[0] == g.v_max_f
 
+    def test_output_is_floats_and_nan_passes_the_caps(self, params):
+        v, r_ref = virtual_control(0.0, 1.0e6, zero_meas(phi=math.nan),
+                                   Gains(), ControllerState(), 1e-3, params)
+        assert all(type(x) is float for x in v) and type(r_ref) is float
+        assert v[0] == Gains().v_max_f
+        assert math.isnan(v[3])
+
     @given(delta=st.floats(-0.3, 0.3), beta=st.floats(-0.3, 0.3),
            r=st.floats(-0.5, 0.5), phi=st.floats(-0.1, 0.1))
     @settings(max_examples=40)

@@ -13,7 +13,7 @@ from staballoc.logio import CSV_COLUMNS, RunLog
 from staballoc.metrics import compute_metrics
 from staballoc.params import G, VehicleParams
 from staballoc.plant import PlantInputs, PlantState, step_rk4
-from staballoc.scenario import Event, parse_scenario
+from staballoc.scenario import ConfigError, Event, parse_scenario
 from staballoc.stability import max_closed_loop_eig
 
 SHORT = """
@@ -172,6 +172,16 @@ class TestRunScenario:
         # without yaw-moment feedback the yaw response differs
         assert log_weak.cols["r"][1500] != log_strong.cols["r"][1500]
 
+    @pytest.mark.parametrize("dt", [0.0, -0.001, 0.003, math.nan, math.inf])
+    def test_bad_dt_rejected(self, dt):
+        with pytest.raises(ConfigError, match="dt"):
+            run_scenario(parse_scenario(SHORT), dt=dt)
+
+    def test_explicit_dt_sets_the_step(self):
+        log = run_scenario(parse_scenario(SHORT), dt=0.002)
+        assert log.dt == 0.002
+        assert len(log) == 1000
+
     def test_unknown_allocator_override_rejected(self):
         text = SHORT + "\n[allocator]\nbogus = 1\n"
         with pytest.raises(ValueError):
@@ -278,6 +288,53 @@ class TestCli:
         assert cli_main(["run", str(scn_file), "--out",
                          str(tmp_path / "out")]) == 3
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section", [
+        "[gains]\nkp_bogus = 1\n", "[allocator]\ngamma = -5000\n",
+        "[allocator]\nproj_margin = 1.5\n"])
+    def test_bad_setting_is_config_error(self, tmp_path, section, capsys):
+        scn_file = tmp_path / "short.scn"
+        scn_file.write_text(SHORT + "\n" + section)
+        out = tmp_path / "out"
+        assert cli_main(["run", str(scn_file), "--out", str(out)]) == 3
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dt", ["0", "-0.001", "0.003"])
+    def test_bad_dt_is_config_error_and_writes_nothing(self, tmp_path, dt,
+                                                       scenario_dir, capsys):
+        out = tmp_path / "out"
+        assert cli_main(["run", str(scenario_dir / "high_speed.scn"),
+                         "--dt", dt, "--out", str(out)]) == 3
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--vmin", "10", "--vmax", "5"],
+        ["--vmin", "5", "--vmax", "10", "--resolution", "0"]])
+    def test_bad_sweep_range_is_config_error(self, tmp_path, argv, capsys):
+        scn_file = tmp_path / "short.scn"
+        scn_file.write_text(SHORT)
+        assert cli_main(["sweep", str(scn_file), "--controller",
+                         "baseline", *argv]) == 3
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_non_positive_stability_speed_is_config_error(self, capsys):
+        assert cli_main(["stability", "--v0", "0"]) == 3
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_failure_inside_a_run_is_not_a_config_error(self, tmp_path,
+                                                        monkeypatch, capsys):
+        from staballoc import harness
+
+        def broken_step(*args, **kwargs):
+            raise ValueError("math domain error")
+        monkeypatch.setattr(harness, "step_rk4", broken_step)
+        scn_file = tmp_path / "short.scn"
+        scn_file.write_text(SHORT)
+        with pytest.raises(ValueError, match="math domain error"):
+            cli_main(["run", str(scn_file), "--out", str(tmp_path / "out")])
+        assert "configuration error" not in capsys.readouterr().err
 
     def test_figures_runs_every_pair(self, tmp_path, monkeypatch, capsys):
         from staballoc import cli

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from effort_map import build_by
 from staballoc.linmodel import (ZEROED_ROWS, bn_is_invertible, build_bl,
-                                build_bn, build_bv, build_by, build_d,
-                                linearize, reduced_derivative)
+                                build_bn, build_bv, build_d, linearize,
+                                reduced_derivative)
 from staballoc.plant import PlantInputs, PlantState, state_derivative
 
 STATIC_STEER = (0.0, 0.0, 0.0, 0.0)

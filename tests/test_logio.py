@@ -1,9 +1,12 @@
+import dataclasses
 import math
 
 import pytest
 
+from staballoc.harness import run_scenario
 from staballoc.logio import (CSV_COLUMNS, RunLog, emit_csv, emit_svg_plots,
                              parse_csv)
+from staballoc.scenario import load_scenario
 
 
 def make_log(n=20):
@@ -32,6 +35,23 @@ class TestCsv:
         data = parse_csv(path)
         for c in CSV_COLUMNS:
             assert data[c] == log.cols[c]
+
+    @pytest.mark.parametrize("controller", ["proposed", "baseline", "hybrid"])
+    def test_closed_loop_run_round_trips(self, tmp_path, scenario_dir,
+                                         controller):
+        # past the 1 s actuator fault, so u_eff differs from the command
+        scn = load_scenario(scenario_dir / "actuator_fault.scn")
+        scn = dataclasses.replace(scn, horizon=1.2)
+        log = run_scenario(scn, controller=controller)
+        assert len(log) == 1200
+        data = parse_csv(emit_csv(log, tmp_path / "run.csv"))
+        for c in CSV_COLUMNS:
+            # float.hex tells -0.0 from 0.0, so this is bit for bit
+            assert list(map(float.hex, data[c])) == \
+                list(map(float.hex, log.cols[c])), c
+            assert all(type(v) is float for v in log.cols[c]), c
+        assert all(type(v) is float for row in log.u_eff for v in row)
+        assert all(type(v) is float for v in log.r_ref)
 
     def test_repeated_emission_is_byte_identical(self, tmp_path):
         log = make_log(50)

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from staballoc.params import G, VehicleParams
-from staballoc.plant import (PlantInputs, PlantState,
+from staballoc.plant import (STATE_NAMES, PlantInputs, PlantState,
                              body_accelerations, normal_forces, rk4,
                              state_derivative, step_rk4,
                              vertical_derivatives, wheel_spin_derivative,
@@ -48,9 +48,37 @@ class TestInputs:
         assert u.torque[0] == 1500.0 and u.torque[1] == -1500.0
         assert u.f_z[0] == 5000.0 and u.f_z[1] == -5000.0
 
+    def test_inputs_inside_the_envelope_are_kept(self):
+        steer = (0.1, -0.2, 0.0, -0.0)
+        u = PlantInputs(steer=steer, torque=(1500.0, -1500.0, 3.0, 0.0))
+        assert u.steer is steer
+        assert u.torque == (1500.0, -1500.0, 3.0, 0.0)
+        assert math.copysign(1.0, u.steer[3]) == -1.0
+
+    def test_sequences_become_tuples(self):
+        u = PlantInputs(steer=[0.1, 0.0, 0.0, 0.0], f_z=[9000.0, 0, 0, 0])
+        assert u.steer == (0.1, 0.0, 0.0, 0.0)
+        assert u.f_z == (5000.0, 0, 0, 0)
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_nan_passes_the_envelope(self, order):
+        torque = [1.0, 2000.0, -3.0, 0.0]
+        torque.insert(order, math.nan)
+        u = PlantInputs(torque=tuple(torque[:4]))
+        assert math.isnan(u.torque[order])
+        assert all(abs(t) <= 1500.0 for t in u.torque
+                   if not math.isnan(t))
+
     def test_negative_brake_rejected(self):
         with pytest.raises(ValueError):
             PlantInputs(brake=(-1.0, 0, 0, 0))
+
+
+class TestStateVector:
+    def test_as_list_follows_state_names(self):
+        s = PlantState(*[float(i) for i in range(len(STATE_NAMES))])
+        assert s.as_list() == [getattr(s, n) for n in STATE_NAMES]
+        assert PlantState.from_list(s.as_list()) == s
 
 
 class TestPointwiseDynamics:

@@ -82,6 +82,14 @@ class TestValidation:
         with pytest.raises(ConfigError):
             parse_scenario("[scenario]\nv0 = 10\nhorizon = 1\ndt = 0.3\n")
 
+    @pytest.mark.parametrize("dt, horizon", [
+        ("0", "1"), ("-0.001", "1"), ("nan", "1"), ("inf", "1"),
+        ("0.001", "inf"), ("0.001", "0"), ("2", "1")])
+    def test_non_finite_or_oversized_step_rejected(self, dt, horizon):
+        with pytest.raises(ConfigError):
+            parse_scenario(f"[scenario]\nv0 = 10\nhorizon = {horizon}\n"
+                           f"dt = {dt}\n")
+
     def test_events_must_be_sorted(self):
         text = ("[scenario]\nv0 = 10\nhorizon = 1\ndt = 0.001\n"
                 "[events]\n2.0 friction all 0.9\n1.0 friction all 0.8\n")
