@@ -72,7 +72,7 @@ def project_rate(theta: np.ndarray, raw: np.ndarray,
     return raw * scale
 
 
-@dataclass
+@dataclass(frozen=True)
 class AllocatorConfig:
     """Adaptation configuration; defaults match the shipped scenarios.
 

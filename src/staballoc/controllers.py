@@ -13,11 +13,11 @@ Controller integrators advance by explicit Euler with clamping anti-windup.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Dict, List, Sequence, Tuple
 
 from .params import G, ConfigError, VehicleParams
-from .plant import clip
+from .plant import STEER_LIMIT, clip
 
 
 @dataclass(frozen=True)
@@ -59,9 +59,7 @@ class DriverInput:
     brake: PiecewiseLinear
 
     def steer_at(self, t: float) -> float:
-        d = self.steer(t)
-        lim = math.radians(30.0)
-        return max(-lim, min(lim, d))
+        return clip(self.steer(t), STEER_LIMIT)
 
     def force_ref(self, t: float) -> float:
         return self.pedal(t) - self.brake(t)
@@ -72,7 +70,9 @@ class Gains:
     """Controller gains; defaults are the shipped tuned set.
 
     The stock vehicle has load-proportional cornering stiffness, so the
-    understeer gradient defaults to neutral (0).
+    understeer gradient defaults to neutral (0).  Feedback gains take either
+    sign; the anti-windup bounds `i_max_*` and the demand limits `v_max_*`
+    must be non-negative and finite (ConfigError).
     """
     # traction force PI (virtual control entry 1)
     kp_f: float = 2.0
@@ -121,12 +121,13 @@ class Gains:
     v_max_mx: float = 16000.0
     v_max_my: float = 25000.0
 
-    def with_overrides(self, overrides: Dict[str, float]) -> "Gains":
-        names = {f.name for f in fields(self)}
-        unknown = set(overrides) - names
-        if unknown:
-            raise ConfigError(f"unknown gain names: {sorted(unknown)}")
-        return replace(self, **overrides)
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            if f.name.startswith(("i_max_", "v_max_")):
+                value = getattr(self, f.name)
+                if not 0.0 <= value < math.inf:
+                    raise ConfigError(f"gain {f.name} must be non-negative "
+                                      f"and finite, not {value!r}")
 
 
 @dataclass

@@ -16,14 +16,13 @@ Controllers:
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .allocator import AdaptiveAllocator, AllocatorConfig, measured_net
+from .allocator import AdaptiveAllocator, measured_net
 from .controllers import (ControllerState, Gains, baseline_rear_steer,
                           baseline_suspension, baseline_traction,
                           virtual_control)
@@ -34,9 +33,11 @@ from .params import VehicleParams
 from .plant import (PlantInputs, PlantState, STEER_LIMIT, SUSPENSION_LIMIT,
                     TORQUE_LIMIT, clip, normal_forces, state_derivative,
                     step_rk4)
-from .scenario import (ACTUATOR_NAMES, TIRE_SETS, ConfigError, Event,
-                       Scenario, check_step)
+from .scenario import (ACTUATOR_NAMES, CONTROLLERS, TIRE_SETS, ConfigError,
+                       Event, Scenario, check_step)
 from .tires import _reg
+
+BETA_LIMIT = math.radians(15.0)  # a sweep run survives below this max|beta|
 
 U_LIMITS = (STEER_LIMIT,) * 4 + (TORQUE_LIMIT,) * 4 + (SUSPENSION_LIMIT,) * 4
 
@@ -147,37 +148,27 @@ class _Loop:
         return clip_u(u), v, r_ref, res.residual
 
 
-def run_scenario(scn: Scenario,
-                 params: Optional[VehicleParams] = None,
-                 gains: Optional[Gains] = None,
-                 alloc_config: Optional[AllocatorConfig] = None,
-                 controller: Optional[str] = None,
+def run_scenario(scn: Scenario, controller: Optional[str] = None,
                  dt: Optional[float] = None) -> RunLog:
-    """Simulate one scenario and return the per-step log.
+    """Simulate one scenario on the stock vehicle and return the per-step log.
 
-    Explicit arguments override the scenario file; the run stops early with
-    a partial log when the plant diverges.  A dt that is not positive or
-    does not divide the horizon raises ConfigError before any step.
+    The scenario carries every setting of the run; controller and dt, when
+    given, replace its controller and step.  The run stops early with a
+    partial log when the plant diverges.  A dt that is not positive or does
+    not divide the horizon raises ConfigError before any step.
     """
     dt = scn.dt if dt is None else dt
     n_steps = check_step(dt, scn.horizon)
-    p = params or VehicleParams()
-    g = gains or Gains()
-    if scn.gain_overrides:
-        g = g.with_overrides(scn.gain_overrides)
-    acfg = alloc_config or AllocatorConfig()
-    if scn.allocator_overrides:
-        names = {f.name for f in dataclasses.fields(acfg)}
-        unknown = set(scn.allocator_overrides) - names
-        if unknown:
-            raise ConfigError(f"unknown allocator settings: {sorted(unknown)}")
-        acfg = dataclasses.replace(acfg, **scn.allocator_overrides)
+    p = VehicleParams()
     mode = controller or scn.controller
+    if mode not in CONTROLLERS:
+        raise ConfigError(f"unknown controller {mode!r}")
 
     allocator = None
     if mode in ("proposed", "hybrid"):
-        allocator = AdaptiveAllocator(build_bl(p, acfg.c_alpha), acfg)
-    loop = _Loop(mode=mode, gains=g, cs=ControllerState(),
+        allocator = AdaptiveAllocator(build_bl(p, scn.allocator.c_alpha),
+                                      scn.allocator)
+    loop = _Loop(mode=mode, gains=scn.gains, cs=ControllerState(),
                  allocator=allocator)
 
     state = PlantState.cruising(scn.v0, p)
@@ -214,7 +205,7 @@ def run_scenario(scn: Scenario,
             "v1": v[0], "v2": v[1], "v3": v[2], "v4": v[3], "v5": v[4],
             "resid": resid,
         }
-        log.append(row, u_eff, r_ref)
+        log.append(row, r_ref)
 
         state = step_rk4(state, inputs, p, dt)
         if state.diverged:
@@ -227,15 +218,10 @@ def run_scenario(scn: Scenario,
 
 def sweep_max_speed(scn: Scenario, controller: str,
                     v_min: float, v_max: float,
-                    resolution: float = 0.25,
-                    beta_limit: float = math.radians(15.0),
-                    params: Optional[VehicleParams] = None,
-                    gains: Optional[Gains] = None,
-                    alloc_config: Optional[AllocatorConfig] = None,
-                    ) -> float:
+                    resolution: float = 0.25) -> float:
     """Largest initial speed in [v_min, v_max] the controller survives.
 
-    Survival: no spin flag, no divergence, and max |beta| below beta_limit.
+    Survival: no spin flag, no divergence, and max |beta| below BETA_LIMIT.
     Bisection to the given resolution, assuming a single stability
     threshold in the range.  Returns NaN when even v_min fails; an empty
     range or a non-positive resolution raises ConfigError.
@@ -246,10 +232,9 @@ def sweep_max_speed(scn: Scenario, controller: str,
         raise ConfigError(f"resolution must be positive, not {resolution!r}")
 
     def stable(v0: float) -> bool:
-        log = run_scenario(scn.with_speed(v0), params=params, gains=gains,
-                           alloc_config=alloc_config, controller=controller)
+        log = run_scenario(scn.with_speed(v0), controller=controller)
         m = compute_metrics(log)
-        return (not m.spin) and (not m.diverged) and m.max_beta < beta_limit
+        return (not m.spin) and (not m.diverged) and m.max_beta < BETA_LIMIT
 
     if not stable(v_min):
         return float("nan")

@@ -34,6 +34,8 @@ C_ALPHA_DEFAULT = 8.0  # per-unit-normal-force cornering gain [1/rad]
 
 BN_EPS = 1.0e-6  # |diagonal entries| below this flag B_n as non-invertible
 
+FD_STEP = 1.0e-6  # central-difference step, relative to max(1, |x0_j|)
+
 ZERO4 = (0.0, 0.0, 0.0, 0.0)
 UNIT4 = (1.0, 1.0, 1.0, 1.0)
 
@@ -55,7 +57,7 @@ def reduced_derivative(x: Sequence[float], u: Sequence[float],
 
 @dataclass(frozen=True)
 class LinearModel:
-    """x' = A x + B_u u + D around straight cruising at v0.
+    """x' = A x + B_u u + D around straight cruising.
 
     A and D are held at the operating point; B_u is the input matrix at the
     operating point with heave and unsprung rows zeroed.  D is the vector
@@ -64,11 +66,9 @@ class LinearModel:
     a: np.ndarray       # 17 x 17
     b_u: np.ndarray     # 17 x 12
     d: np.ndarray       # 17
-    v0: float
 
 
-def linearize(p: VehicleParams, v0: float,
-              rel_step: float = 1.0e-6) -> LinearModel:
+def linearize(p: VehicleParams, v0: float) -> LinearModel:
     """Central-difference linearization of the control-oriented model at
     straight driving with speed v0, zero steering and static normal loads."""
     if v0 <= 0.0:
@@ -79,7 +79,7 @@ def linearize(p: VehicleParams, v0: float,
 
     a = np.zeros((N_X, N_X))
     for j in range(N_X):
-        h = rel_step * max(1.0, abs(x0[j]))
+        h = FD_STEP * max(1.0, abs(x0[j]))
         xp = x0.copy()
         xm = x0.copy()
         xp[j] += h
@@ -89,7 +89,7 @@ def linearize(p: VehicleParams, v0: float,
 
     b_u = np.zeros((N_X, N_U))
     for j in range(N_U):
-        h = rel_step
+        h = FD_STEP
         up = u0.copy()
         um = u0.copy()
         up[j] += h
@@ -99,7 +99,7 @@ def linearize(p: VehicleParams, v0: float,
     b_u[list(ZEROED_ROWS), :] = 0.0
 
     d = reduced_derivative(x0, u0, p)
-    return LinearModel(a=a, b_u=b_u, d=d, v0=v0)
+    return LinearModel(a=a, b_u=b_u, d=d)
 
 
 def build_bv(p: VehicleParams) -> np.ndarray:
@@ -152,9 +152,9 @@ def build_bn(steer: Sequence[float], normals: Sequence[float],
     ])
 
 
-def bn_is_invertible(bn_diag: np.ndarray, eps: float = BN_EPS) -> bool:
+def bn_is_invertible(bn_diag: np.ndarray) -> bool:
     """True when every diagonal entry of B_n is bounded away from zero."""
-    return bool(np.min(np.abs(bn_diag)) > eps)
+    return bool(np.min(np.abs(bn_diag)) > BN_EPS)
 
 
 def build_d(v0: float, p: VehicleParams) -> np.ndarray:

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
+
+OBSTACLE_X = 100.0  # m, obstacle line of the avoidance maneuver
 
 CSV_COLUMNS = (
     "t", "Vx", "Vy", "r", "beta", "z", "phi", "theta", "X", "Y", "psi",
@@ -24,15 +26,14 @@ class RunLog:
     """Per-step record of one closed-loop run, columnar.
 
     `cols` carries the fixed CSV schema (commanded actuator values);
-    `u_eff` additionally keeps the post-fault effective actuator vector and
-    `r_ref` the yaw-rate reference, both needed by the metrics.
+    `r_ref` additionally keeps the yaw-rate reference the spin metric
+    integrates.
     """
     scenario: str = ""
     controller: str = ""
     dt: float = 0.0
     cols: Dict[str, List[float]] = field(
         default_factory=lambda: {c: [] for c in CSV_COLUMNS})
-    u_eff: List[Tuple[float, ...]] = field(default_factory=list)
     r_ref: List[float] = field(default_factory=list)
     diverged: bool = False
     diverged_at: Optional[float] = None
@@ -41,11 +42,9 @@ class RunLog:
     def __len__(self) -> int:
         return len(self.cols["t"])
 
-    def append(self, values: Dict[str, float], u_eff: Sequence[float],
-               r_ref: float) -> None:
+    def append(self, values: Dict[str, float], r_ref: float) -> None:
         for c in CSV_COLUMNS:
             self.cols[c].append(values[c])
-        self.u_eff.append(tuple(u_eff))
         self.r_ref.append(r_ref)
 
     def mark_diverged(self, t: float, reason: str) -> None:
@@ -130,11 +129,10 @@ def _panel(xs: Sequence[float], ys: Sequence[float], label: str,
 TIMESERIES_SIGNALS = ("beta", "r", "Vx", "phi", "theta")
 
 
-def emit_svg_plots(log: RunLog, out_dir: str | Path, stem: str,
-                   obstacle_x: float = 100.0) -> List[Path]:
+def emit_svg_plots(log: RunLog, out_dir: str | Path, stem: str) -> List[Path]:
     """Write a stacked time-series SVG and an X-Y trajectory SVG.
 
-    The trajectory plot marks the obstacle line at x = obstacle_x with a
+    The trajectory plot marks the obstacle line at x = OBSTACLE_X with a
     dash-dotted stroke.
     """
     out_dir = Path(out_dir)
@@ -160,7 +158,7 @@ def emit_svg_plots(log: RunLog, out_dir: str | Path, stem: str,
 
     xs, ys = log.cols["X"], log.cols["Y"]
     w2, h2, m2 = 720, 320, 30
-    xmin, xmax = min(min(xs), 0.0), max(max(xs), obstacle_x + 10.0)
+    xmin, xmax = min(min(xs), 0.0), max(max(xs), OBSTACLE_X + 10.0)
     ymin, ymax = min(min(ys), -1.0), max(max(ys), 1.0)
     traj = _svg_header(w2, h2)
     span_x = xmax - xmin
@@ -170,7 +168,7 @@ def emit_svg_plots(log: RunLog, out_dir: str | Path, stem: str,
         px = m2 + (x - xmin) / span_x * (w2 - 2 * m2)
         py = h2 - m2 - (yv - ymin) / span_y * (h2 - 2 * m2)
         pts.append(f"{_fmt(px)},{_fmt(py)}")
-    ox = m2 + (obstacle_x - xmin) / span_x * (w2 - 2 * m2)
+    ox = m2 + (OBSTACLE_X - xmin) / span_x * (w2 - 2 * m2)
     traj += (f'<line x1="{_fmt(ox)}" y1="{m2}" x2="{_fmt(ox)}" '
              f'y2="{h2 - m2}" stroke="#e754a6" stroke-width="2" '
              f'stroke-dasharray="8 3 2 3"/>\n')
@@ -178,7 +176,7 @@ def emit_svg_plots(log: RunLog, out_dir: str | Path, stem: str,
              f'points="{" ".join(pts)}"/>\n')
     traj += (f'<text x="{m2}" y="{m2 - 8}" font-size="12" '
              f'font-family="sans-serif">trajectory X-Y [m], obstacle line '
-             f'at x={obstacle_x:g}</text>\n')
+             f'at x={OBSTACLE_X:g}</text>\n')
     traj += "</svg>\n"
     traj_path = out_dir / f"{stem}_trajectory.svg"
 

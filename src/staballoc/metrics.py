@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from .logio import RunLog
+from .logio import OBSTACLE_X, RunLog
 
-OBSTACLE_X = 100.0            # m, obstacle line of the avoidance maneuver
 SPIN_HEADING_ERR = math.pi / 2.0  # rad
 SPIN_HOLD = 0.5               # s a heading error must persist to count
 
@@ -28,14 +27,12 @@ def _rms(values) -> float:
     return math.sqrt(sum(v * v for v in values) / len(values))
 
 
-def compute_metrics(log: RunLog, obstacle_x: float = OBSTACLE_X,
-                    heading_err: float = SPIN_HEADING_ERR,
-                    hold: float = SPIN_HOLD) -> Metrics:
+def compute_metrics(log: RunLog) -> Metrics:
     """Deterministic metrics of one run.
 
     The driver-intended heading is the integral of the yaw-rate reference;
-    a spin is a heading error beyond `heading_err` sustained for `hold`
-    seconds.
+    a spin is a heading error beyond SPIN_HEADING_ERR sustained for
+    SPIN_HOLD seconds.
     """
     if len(log) == 0:
         raise ValueError("empty log")
@@ -44,11 +41,11 @@ def compute_metrics(log: RunLog, obstacle_x: float = OBSTACLE_X,
     beta = log.cols["beta"]
 
     psi_ref = 0.0
-    hold_steps = max(1, int(round(hold / dt)))
+    hold_steps = max(1, int(round(SPIN_HOLD / dt)))
     run = 0
     spin = False
     for k in range(len(log)):
-        if abs(psi[k] - psi_ref) > heading_err:
+        if abs(psi[k] - psi_ref) > SPIN_HEADING_ERR:
             run += 1
             if run >= hold_steps:
                 spin = True
@@ -61,11 +58,11 @@ def compute_metrics(log: RunLog, obstacle_x: float = OBSTACLE_X,
     xs = log.cols["X"]
     ys = log.cols["Y"]
     for k in range(len(log)):
-        if xs[k] >= obstacle_x:
+        if xs[k] >= OBSTACLE_X:
             if k == 0 or xs[k] == xs[k - 1]:
                 lateral = abs(ys[k])
             else:
-                f = (obstacle_x - xs[k - 1]) / (xs[k] - xs[k - 1])
+                f = (OBSTACLE_X - xs[k - 1]) / (xs[k] - xs[k - 1])
                 lateral = abs(ys[k - 1] + f * (ys[k] - ys[k - 1]))
             break
 

@@ -9,7 +9,7 @@ so every module that checks user configuration can raise it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 G = 9.81  # gravitational acceleration [m/s^2]
 
@@ -89,11 +89,6 @@ class VehicleParams:
         # per-wheel static loads from the weight split over the wheelbase
         set_(self, "N_front_static", self.m * G * self.b / (2.0 * self.L))
         set_(self, "N_rear_static", self.m * G * self.a / (2.0 * self.L))
-
-    def replace(self, **changes: float) -> "VehicleParams":
-        base = {f.name: getattr(self, f.name) for f in fields(self) if f.init}
-        base.update(changes)
-        return VehicleParams(**base)
 
     @property
     def weight(self) -> float:

@@ -27,14 +27,11 @@ SUSPENSION_LIMIT = 5000.0          # N
 
 BLOW_UP_LIMIT = 1.0e6  # any |state entry| beyond this marks the run diverged
 
-WHEELS = ("fl", "fr", "rl", "rr")
-
 STATE_NAMES = (
     "Vx", "Vy", "r", "z", "zd", "phi", "phid", "theta", "thetad",
     "z_ufl", "zd_ufl", "z_ufr", "zd_ufr", "z_url", "zd_url", "z_urr", "zd_urr",
     "w_fl", "w_fr", "w_rl", "w_rr", "X", "Y", "psi",
 )
-N_STATES = len(STATE_NAMES)
 
 
 @dataclass
@@ -76,8 +73,8 @@ class PlantState:
                 self.X, self.Y, self.psi]
 
     @classmethod
-    def from_list(cls, values: Sequence[float], diverged: bool = False) -> "PlantState":
-        return cls(*values, diverged=diverged)
+    def from_list(cls, values: Sequence[float]) -> "PlantState":
+        return cls(*values)
 
     @classmethod
     def cruising(cls, v0: float, p: VehicleParams) -> "PlantState":
@@ -111,7 +108,6 @@ class PlantInputs:
     steer: Tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
     torque: Tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
     f_z: Tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
-    brake: Tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
     z_road: Tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
     slope: float = 0.0
     lat_scale: Tuple[float, float, float, float] = (1.0, 1.0, 1.0, 1.0)
@@ -123,8 +119,6 @@ class PlantInputs:
             if type(xs) is not tuple or not _inside(xs, lim):
                 object.__setattr__(self, name,
                                    tuple([clip(x, lim) for x in xs]))
-        if any(t < 0.0 for t in self.brake):
-            raise ValueError("brake torques must be non-negative")
 
     @classmethod
     def from_u(cls, u: Sequence[float], **env) -> "PlantInputs":
@@ -166,10 +160,10 @@ def yaw_acceleration(fx_body: Sequence[float], fy_body: Sequence[float],
             - p.b * (fy_body[2] + fy_body[3])) / p.I_z
 
 
-def wheel_spin_derivative(torque: float, brake: float, rolling: float,
-                          f_x_tire: float, p: VehicleParams) -> float:
+def wheel_spin_derivative(torque: float, rolling: float, f_x_tire: float,
+                          p: VehicleParams) -> float:
     """Wheel spin acceleration from the torque balance about the axle."""
-    return (torque - brake - rolling - f_x_tire * p.R_w) / p.I_w
+    return (torque - rolling - f_x_tire * p.R_w) / p.I_w
 
 
 def vertical_derivatives(state: Sequence[float], f_z: Sequence[float],
@@ -292,8 +286,8 @@ def state_derivative(x: Sequence[float], u: PlantInputs,
                                p.B1, p.C1, p.E1, p.mu * n)
         sgn = 1.0 if omega > 0.0 else (-1.0 if omega < 0.0 else 0.0)
         wdot[i] = wheel_spin_derivative(
-            u.torque[i], u.brake[i] * sgn,
-            rolling_resistance(n, v_x, p.p0, p.p1, p.p2) * sgn, f_x[i], p)
+            u.torque[i], rolling_resistance(n, v_x, p.p0, p.p1, p.p2) * sgn,
+            f_x[i], p)
 
     out = chassis_derivative(x, f_x, u.steer, u.f_z, u.z_road, u.lat_scale,
                              u.slope, p)
@@ -321,7 +315,7 @@ def rk4(f: Callable[[Sequence[float]], Sequence[float]],
 
 
 def step_rk4(state: PlantState, inputs: PlantInputs, p: VehicleParams,
-             dt: float, blow_up: float = BLOW_UP_LIMIT) -> PlantState:
+             dt: float) -> PlantState:
     """Advance one fixed step with inputs held constant (zero-order hold).
 
     The diverged flag is raised, never silently clamped, when any entry of
@@ -334,6 +328,6 @@ def step_rk4(state: PlantState, inputs: PlantInputs, p: VehicleParams,
     nxt = rk4(lambda v: state_derivative(v, inputs, p), state.as_list(), dt)
     # a finite sum means every entry is finite (inf or NaN would propagate)
     if not (math.isfinite(sum(nxt))
-            and -blow_up <= min(nxt) and max(nxt) <= blow_up):
+            and -BLOW_UP_LIMIT <= min(nxt) and max(nxt) <= BLOW_UP_LIMIT):
         return replace(state, diverged=True)
     return PlantState.from_list(nxt)

@@ -23,17 +23,21 @@ breakpoint lists ``t:value`` separated by whitespace.
     1.0     effectiveness  T_rr    0.10
     4.0     friction       all     0.90
 
-``[gains]`` and ``[allocator]`` sections may override individual controller
-gains and allocator settings for the run.
+``[gains]`` and ``[allocator]`` sections set individual fields of
+:class:`Gains` and :class:`AllocatorConfig`; the rest keep their defaults.
+The parsed :class:`Scenario` is the whole description of a run: every
+number in the file must be finite, and every setting is checked when the
+file is parsed (ConfigError).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
-from .controllers import DriverInput, PiecewiseLinear
+from .allocator import AllocatorConfig
+from .controllers import DriverInput, Gains, PiecewiseLinear
 from .params import ConfigError
 
 CONTROLLERS = ("proposed", "baseline", "hybrid")
@@ -64,6 +68,7 @@ class Event:
 
 @dataclass(frozen=True)
 class Scenario:
+    """One run: vehicle start, driver, events and controller settings."""
     name: str
     v0: float
     horizon: float
@@ -71,15 +76,11 @@ class Scenario:
     driver: DriverInput
     controller: str = "proposed"
     events: Tuple[Event, ...] = ()
-    gain_overrides: Dict[str, float] = field(default_factory=dict)
-    allocator_overrides: Dict[str, float] = field(default_factory=dict)
+    gains: Gains = field(default_factory=Gains)
+    allocator: AllocatorConfig = field(default_factory=AllocatorConfig)
 
     def with_speed(self, v0: float) -> "Scenario":
         return replace(self, v0=v0)
-
-    @property
-    def n_steps(self) -> int:
-        return int(round(self.horizon / self.dt))
 
 
 def check_step(dt: float, horizon: float) -> int:
@@ -98,14 +99,37 @@ def check_step(dt: float, horizon: float) -> int:
     return n
 
 
+def _number(text: str, where: str) -> float:
+    """The finite float written in text; anything else is a ConfigError."""
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {text!r} is not a number") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}: {text!r} is not finite")
+    return value
+
+
+def _settings(cls, values: Dict[str, str], section: str):
+    """`cls` built from the `[section]` entries, the rest at their defaults.
+
+    A name that is not a field of cls is a ConfigError; cls checks the
+    values themselves.
+    """
+    unknown = set(values) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown [{section}] names: {sorted(unknown)}")
+    return cls(**{k: _number(v, f"[{section}] {k}")
+                  for k, v in values.items()})
+
+
 def _parse_profile(text: str, where: str) -> PiecewiseLinear:
     points = []
     for token in text.split():
-        try:
-            t_str, v_str = token.split(":")
-            points.append((float(t_str), float(v_str)))
-        except ValueError as exc:
-            raise ConfigError(f"{where}: bad breakpoint {token!r}") from exc
+        t_str, sep, v_str = token.partition(":")
+        if not sep:
+            raise ConfigError(f"{where}: bad breakpoint {token!r}")
+        points.append((_number(t_str, where), _number(v_str, where)))
     if not points:
         raise ConfigError(f"{where}: empty profile")
     try:
@@ -119,11 +143,8 @@ def _parse_event(line: str, lineno: int) -> Event:
     if len(parts) != 4:
         raise ConfigError(f"line {lineno}: event rows are 't kind target factor'")
     t_str, kind, target, f_str = parts
-    try:
-        time = float(t_str)
-        factor = float(f_str)
-    except ValueError as exc:
-        raise ConfigError(f"line {lineno}: bad number in event") from exc
+    time = _number(t_str, f"line {lineno}: event time")
+    factor = _number(f_str, f"line {lineno}: event factor")
     if kind not in EVENT_KINDS:
         raise ConfigError(f"line {lineno}: unknown event kind {kind!r}")
     if kind == "effectiveness":
@@ -169,13 +190,10 @@ def parse_scenario(text: str, name: Optional[str] = None) -> Scenario:
 
     sc = keyvals["scenario"]
     try:
-        v0 = float(sc["v0"])
-        horizon = float(sc["horizon"])
-        dt = float(sc["dt"])
+        v0, horizon, dt = (_number(sc[k], f"[scenario] {k}")
+                           for k in ("v0", "horizon", "dt"))
     except KeyError as exc:
         raise ConfigError(f"[scenario] is missing {exc.args[0]!r}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"[scenario]: {exc}") from exc
     controller = sc.get("controller", "proposed")
     if controller not in CONTROLLERS:
         raise ConfigError(f"unknown controller {controller!r}")
@@ -193,22 +211,14 @@ def parse_scenario(text: str, name: Optional[str] = None) -> Scenario:
     if any(e1.time < e0.time for e0, e1 in zip(events, events[1:])):
         raise ConfigError("events must be listed in time order")
 
-    def _floats(d: Dict[str, str], label: str) -> Dict[str, float]:
-        out = {}
-        for k, v in d.items():
-            try:
-                out[k] = float(v)
-            except ValueError as exc:
-                raise ConfigError(f"[{label}] {k}: not a number") from exc
-        return out
-
     return Scenario(
         name=sc.get("name", name or "unnamed"),
         v0=v0, horizon=horizon, dt=dt,
         driver=driver, controller=controller,
         events=tuple(events),
-        gain_overrides=_floats(keyvals["gains"], "gains"),
-        allocator_overrides=_floats(keyvals["allocator"], "allocator"),
+        gains=_settings(Gains, keyvals["gains"], "gains"),
+        allocator=_settings(AllocatorConfig, keyvals["allocator"],
+                            "allocator"),
     )
 
 

@@ -11,6 +11,7 @@ import pytest
 from effort_map import build_by
 from staballoc.allocator import AdaptiveAllocator, AllocatorConfig, \
     solve_lyapunov
+from staballoc.cli import FIGURE_PAIRS
 from staballoc.controllers import Gains
 from staballoc.harness import run_scenario, sweep_max_speed
 from staballoc.linmodel import build_bl, build_bn, linearize, \
@@ -31,18 +32,14 @@ def report(criterion: str, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def runs(scenario_dir):
-    """One closed-loop run per (scenario, controller) pair the criteria use."""
-    wanted = [
-        ("low_speed", "proposed"), ("low_speed", "baseline"),
-        ("varying_road", "proposed"), ("varying_road", "baseline"),
-        ("actuator_fault", "proposed"), ("actuator_fault", "baseline"),
-        ("suspension_fault", "proposed"), ("suspension_fault", "hybrid"),
-    ]
+    """One closed-loop run per shipped (scenario, controller) pair, the
+    table behind `staballoc figures`."""
     out = {}
-    for name, ctrl in wanted:
+    for name, controllers in FIGURE_PAIRS:
         scn = load_scenario(scenario_dir / f"{name}.scn")
-        log = run_scenario(scn, controller=ctrl)
-        out[(name, ctrl)] = (log, compute_metrics(log))
+        for ctrl in controllers:
+            log = run_scenario(scn, controller=ctrl)
+            out[(name, ctrl)] = (log, compute_metrics(log))
     return out
 
 
@@ -178,8 +175,7 @@ def test_criterion_7_roll_pitch_reduction(runs):
 
 def test_criterion_8_linear_closed_loop_stability():
     worst = max(max_closed_loop_eig(Gains(), v0, P) for v0 in (13.0, 20.0))
-    bad_gains = Gains().with_overrides({"kp_mz": -Gains().kp_mz,
-                                        "ki_mz": -Gains().ki_mz})
+    bad_gains = Gains(kp_mz=-Gains().kp_mz, ki_mz=-Gains().ki_mz)
     flagged = max_closed_loop_eig(bad_gains, 20.0, P)
     ok = worst < 0.0 and flagged > 0.0
     report("criterion 8: linear closed-loop stability", ok,

@@ -8,7 +8,8 @@ from staballoc.controllers import (ControllerState, DriverInput, Gains,
                                    PiecewiseLinear, baseline_rear_steer,
                                    baseline_suspension, baseline_traction,
                                    virtual_control, yaw_rate_reference)
-from staballoc.params import G
+from staballoc.params import G, ConfigError
+from staballoc.scenario import parse_scenario
 
 
 def zero_meas(**overrides):
@@ -47,7 +48,7 @@ class TestYawRateReference:
         assert yaw_rate_reference(0.0, 20.0, Gains(), params) == 0.0
 
     def test_kinematic_value(self, params):
-        g = Gains().with_overrides({"k_understeer": 0.0})
+        g = Gains(k_understeer=0.0)
         assert yaw_rate_reference(0.05, 10.0, g, params) == \
             pytest.approx(10.0 * 0.05 / 2.5)
         assert yaw_rate_reference(0.05, 10.0, g, params) == \
@@ -67,14 +68,13 @@ class TestVirtualControl:
         np.testing.assert_allclose(v, np.zeros(5), atol=1e-12)
 
     def test_lateral_force_proportional_term(self, params):
-        g = Gains().with_overrides({"kp_fy": 5000.0, "ki_fy": 0.0})
+        g = Gains(kp_fy=5000.0, ki_fy=0.0)
         v, _ = virtual_control(0.0, 0.0, zero_meas(beta=0.1), g,
                                ControllerState(), 1e-3, params)
         assert v[1] == pytest.approx(-500.0, rel=1e-6)
 
     def test_roll_moment_proportional_term(self, params):
-        g = Gains().with_overrides({"kp_roll": 2.0e4, "kd_roll": 0.0,
-                                    "ki_roll": 0.0})
+        g = Gains(kp_roll=2.0e4, kd_roll=0.0, ki_roll=0.0)
         v, _ = virtual_control(0.0, 0.0, zero_meas(phi=0.05), g,
                                ControllerState(), 1e-3, params)
         assert v[3] == pytest.approx(-1000.0, rel=1e-6)
@@ -188,29 +188,40 @@ class TestBaselineSuspension:
 
     def test_distribution_arithmetic(self):
         # choose gains so one sample yields f_pitch = 10, f_roll = 5
-        g = Gains().with_overrides({"kp_pitch_base": 10.0,
-                                    "ki_pitch_base": 0.0,
-                                    "kp_roll_base": 5.0,
-                                    "ki_roll_base": 0.0})
+        g = Gains(kp_pitch_base=10.0, ki_pitch_base=0.0, kp_roll_base=5.0,
+                  ki_roll_base=0.0)
         f = baseline_suspension(-1.0, -1.0, g, ControllerState(), 1e-3)
         assert f == pytest.approx((-5.0, -15.0, 15.0, 5.0))
 
     def test_pure_roll_equal_front_rear(self):
-        g = Gains().with_overrides({"kp_pitch_base": 0.0,
-                                    "ki_pitch_base": 0.0})
-        f = baseline_suspension(0.0, 0.02, Gains().with_overrides(
-            {"kp_pitch_base": 0.0, "ki_pitch_base": 0.0}),
-            ControllerState(), 1e-3)
+        g = Gains(kp_pitch_base=0.0, ki_pitch_base=0.0)
+        f = baseline_suspension(0.0, 0.02, g, ControllerState(), 1e-3)
         assert f[0] == pytest.approx(f[2])
         assert f[1] == pytest.approx(f[3])
 
 
 class TestGainOverrides:
+    HEAD = "[scenario]\nv0 = 10\nhorizon = 1\ndt = 0.001\n[gains]\n"
+
     def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError):
-            Gains().with_overrides({"kp_nonexistent": 1.0})
+        with pytest.raises(ConfigError, match="kp_nonexistent"):
+            parse_scenario(self.HEAD + "kp_nonexistent = 1\n")
 
     def test_override_round_trip(self):
-        g = Gains().with_overrides({"kp_mz": 123.0})
+        g = parse_scenario(self.HEAD + "kp_mz = 123\n").gains
         assert g.kp_mz == 123.0
         assert g.ki_mz == Gains().ki_mz
+
+    LIMITS = ("i_max_f", "i_max_r", "i_max_beta", "i_max_roll",
+              "i_max_pitch", "v_max_f", "v_max_fy", "v_max_mz", "v_max_mx",
+              "v_max_my")
+
+    @pytest.mark.parametrize("name", LIMITS)
+    @pytest.mark.parametrize("value", [-1.0, -13000.0, math.nan, math.inf])
+    def test_negative_or_non_finite_limit_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            Gains(**{name: value})
+
+    @pytest.mark.parametrize("name", LIMITS)
+    def test_zero_limit_accepted(self, name):
+        assert getattr(Gains(**{name: 0.0}), name) == 0.0

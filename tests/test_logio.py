@@ -17,7 +17,7 @@ def make_log(n=20):
         row.update({"t": t, "Vx": 13.0 + 0.1 * k, "X": 1.3 * k,
                     "Y": math.sin(0.2 * k), "beta": 1e-3 * k,
                     "N_fl": 3507.075, "resid": 0.5 / (k + 1)})
-        log.append(row, [0.0] * 12, 0.0)
+        log.append(row, 0.0)
     return log
 
 
@@ -39,7 +39,8 @@ class TestCsv:
     @pytest.mark.parametrize("controller", ["proposed", "baseline", "hybrid"])
     def test_closed_loop_run_round_trips(self, tmp_path, scenario_dir,
                                          controller):
-        # past the 1 s actuator fault, so u_eff differs from the command
+        # past the 1 s actuator fault, so the plant input differs from the
+        # logged command
         scn = load_scenario(scenario_dir / "actuator_fault.scn")
         scn = dataclasses.replace(scn, horizon=1.2)
         log = run_scenario(scn, controller=controller)
@@ -50,7 +51,6 @@ class TestCsv:
             assert list(map(float.hex, data[c])) == \
                 list(map(float.hex, log.cols[c])), c
             assert all(type(v) is float for v in log.cols[c]), c
-        assert all(type(v) is float for row in log.u_eff for v in row)
         assert all(type(v) is float for v in log.r_ref)
 
     def test_repeated_emission_is_byte_identical(self, tmp_path):

@@ -1,7 +1,11 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from staballoc.scenario import (ConfigError, Event, load_scenario,
-                                parse_scenario)
+from staballoc.allocator import AllocatorConfig
+from staballoc.controllers import Gains
+from staballoc.scenario import (ACTUATOR_NAMES, EVENT_KINDS, TIRE_SETS,
+                                ConfigError, Event, check_step,
+                                load_scenario, parse_scenario)
 
 GOOD = """
 # a comment
@@ -35,15 +39,15 @@ class TestParsing:
         assert scn.name == "demo"
         assert scn.v0 == 15.0
         assert scn.controller == "baseline"
-        assert scn.n_steps == 2000
+        assert check_step(scn.dt, scn.horizon) == 2000
         assert scn.driver.steer(0.5) == pytest.approx(0.025)
         assert scn.driver.force_ref(0.0) == 200.0
         assert scn.events == (
             Event(0.5, "effectiveness", "T_rr", 0.5),
             Event(1.0, "friction", "right", 0.8),
         )
-        assert scn.gain_overrides == {"kp_mz": 12345.0}
-        assert scn.allocator_overrides == {"gamma": 777.0}
+        assert scn.gains == Gains(kp_mz=12345.0)
+        assert scn.allocator == AllocatorConfig(gamma=777.0)
 
     def test_defaults(self):
         scn = parse_scenario(
@@ -51,6 +55,8 @@ class TestParsing:
         assert scn.controller == "proposed"
         assert scn.driver.steer(5.0) == 0.0
         assert scn.events == ()
+        assert scn.gains == Gains()
+        assert scn.allocator == AllocatorConfig()
 
     def test_with_speed_override(self):
         scn = parse_scenario(GOOD).with_speed(22.0)
@@ -125,3 +131,147 @@ class TestValidation:
     def test_content_before_section(self):
         with pytest.raises(ConfigError):
             parse_scenario("v0 = 10\n")
+
+    @pytest.mark.parametrize("section", [
+        "[gains]\nkp_bogus = 1\n", "[allocator]\nq = 1\n",
+        "[gains]\nkp_mz = fast\n", "[gains]\nv_max_f = -13000\n",
+        "[allocator]\ngamma = -5000\n"])
+    def test_bad_setting_rejected_at_parse(self, section):
+        with pytest.raises(ConfigError):
+            parse_scenario("[scenario]\nv0 = 10\nhorizon = 1\ndt = 0.001\n"
+                           + section)
+
+
+# ---------------------------------------------------------------------------
+# round trips: a scenario written as text parses back to the same values
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+TIMES = st.floats(0.0, 1.0e6)
+UNIT = st.floats(0.0, 1.0, exclude_min=True)
+GAIN_FIELDS = tuple(Gains.__dataclass_fields__)
+ALLOCATOR_FIELDS = tuple(AllocatorConfig.__dataclass_fields__)
+
+
+@st.composite
+def profiles(draw):
+    points = draw(st.lists(st.tuples(FINITE, FINITE), min_size=1,
+                           max_size=6))
+    return sorted(points, key=lambda tv: tv[0])
+
+
+@st.composite
+def events(draw):
+    kind = draw(st.sampled_from(EVENT_KINDS))
+    targets = ACTUATOR_NAMES if kind == "effectiveness" else sorted(TIRE_SETS)
+    factor = draw(FINITE if kind == "elevation" else UNIT)
+    return Event(draw(TIMES), kind, draw(st.sampled_from(targets)), factor)
+
+
+def gain_values(name):
+    limit = name.startswith(("i_max_", "v_max_"))
+    return st.floats(0.0, 1.0e9) if limit else FINITE
+
+
+def allocator_values(name):
+    if name == "proj_margin":
+        return st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    return st.floats(1.0e-9, 1.0e9)
+
+
+@st.composite
+def settings_of(draw, names, values):
+    chosen = draw(st.lists(st.sampled_from(names), unique=True, max_size=6))
+    return {name: draw(values(name)) for name in chosen}
+
+
+@st.composite
+def scenarios(draw):
+    """A valid scenario as lines of text pieces and numbers."""
+    evs = sorted(draw(st.lists(events(), max_size=6)), key=lambda e: e.time)
+    lines = [["[scenario]"], ["v0 =", draw(st.floats(0.0, 100.0))],
+             ["horizon =", 1.0], ["dt =", 0.001], ["[driver]"]]
+    for channel in ("steer", "pedal", "brake"):
+        lines.append([f"{channel} =", *draw(profiles())])
+    lines.append(["[events]"])
+    lines += [[e.time, e.kind, e.target, e.factor] for e in evs]
+    for section, names, values in (("gains", GAIN_FIELDS, gain_values),
+                                   ("allocator", ALLOCATOR_FIELDS,
+                                    allocator_values)):
+        lines.append([f"[{section}]"])
+        overrides = draw(settings_of(names, values))
+        lines += [[f"{k} =", v] for k, v in overrides.items()]
+    return lines
+
+
+def numbers(lines):
+    """Every number of the scenario in text order (profile points count
+    as two)."""
+    out = []
+    for line in lines:
+        for item in line:
+            if isinstance(item, tuple):
+                out += item
+            elif isinstance(item, float):
+                out.append(item)
+    return out
+
+
+def render(lines, bad_index=None, bad=""):
+    """The scenario text; the bad_index-th number is written as `bad`."""
+    count = iter(range(len(numbers(lines))))
+
+    def num(x):
+        return bad if next(count) == bad_index else repr(x)
+
+    out = []
+    for line in lines:
+        out.append(" ".join(
+            f"{num(item[0])}:{num(item[1])}" if isinstance(item, tuple)
+            else num(item) if isinstance(item, float) else item
+            for item in line))
+    return "\n".join(out) + "\n"
+
+
+def section_of(lines, header):
+    start = lines.index([header]) + 1
+    stop = next((i for i in range(start, len(lines))
+                 if isinstance(lines[i][0], str)
+                 and lines[i][0].startswith("[")), len(lines))
+    return lines[start:stop]
+
+
+def hexes(values):
+    return [float.hex(v) for v in values]
+
+
+class TestRoundTrip:
+    @given(lines=scenarios())
+    @settings(max_examples=60, deadline=None)
+    def test_written_scenario_parses_back(self, lines):
+        scn = parse_scenario(render(lines))
+        assert float.hex(scn.v0) == float.hex(lines[1][1])
+        for line, profile in zip(lines[5:8], (scn.driver.steer,
+                                              scn.driver.pedal,
+                                              scn.driver.brake)):
+            written = [x for point in line[1:] for x in point]
+            parsed = [x for point in profile.points for x in point]
+            assert hexes(parsed) == hexes(written)
+        written = section_of(lines, "[events]")
+        assert [(e.kind, e.target) for e in scn.events] == \
+            [(row[1], row[2]) for row in written]
+        assert hexes(x for e in scn.events for x in (e.time, e.factor)) == \
+            hexes(x for row in written for x in (row[0], row[3]))
+        gains = {k[:-2]: v for k, v in section_of(lines, "[gains]")}
+        alloc = {k[:-2]: v for k, v in section_of(lines, "[allocator]")}
+        assert scn.gains == Gains(**gains)
+        assert scn.allocator == AllocatorConfig(**alloc)
+        for name, value in gains.items():
+            assert float.hex(getattr(scn.gains, name)) == float.hex(value)
+
+    @given(lines=scenarios(), data=st.data(),
+           bad=st.sampled_from(["nan", "inf", "-inf", "NaN", "+Infinity"]))
+    @settings(max_examples=80, deadline=None)
+    def test_any_non_finite_number_is_config_error(self, lines, data, bad):
+        index = data.draw(st.integers(0, len(numbers(lines)) - 1))
+        with pytest.raises(ConfigError, match="not finite"):
+            parse_scenario(render(lines, index, bad))
