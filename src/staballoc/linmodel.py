@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .params import VehicleParams
-from .plant import chassis_derivative
+from .plant import chassis_derivative, normal_forces
 
 N_X = 17
 N_U = 12
@@ -51,8 +51,9 @@ def reduced_derivative(x: Sequence[float], u: Sequence[float],
     and level with nominal friction.
     """
     f_x = [t / p.R_w for t in u[4:8]]
-    return np.array(chassis_derivative(x, f_x, u[0:4], u[8:12], ZERO4,
-                                       UNIT4, 0.0, p))
+    normals = normal_forces((x[9], x[11], x[13], x[15]), ZERO4, p)
+    return np.array(chassis_derivative(x, f_x, normals, u[0:4], u[8:12],
+                                       ZERO4, UNIT4, 0.0, p))
 
 
 @dataclass(frozen=True)

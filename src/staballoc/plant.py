@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, List, Sequence, Tuple
+from math import atan, cos, sin
+from typing import List, Sequence, Tuple
 
-from .params import G, VehicleParams
-from .tires import (longitudinal_slip, magic_formula, rolling_resistance,
-                    slip_angles, wheel_frame_to_body)
+from .params import VehicleParams
+from .tires import _reg
 
 # actuator envelope, applied when PlantInputs is built
 STEER_LIMIT = math.radians(30.0)   # rad
@@ -142,176 +142,156 @@ def normal_forces(z_u: Sequence[float], z_road: Sequence[float],
             n_rr if n_rr > 0.0 else 0.0)
 
 
-def body_accelerations(f_x_total: float, f_y_total: float, v_x: float,
-                       slope: float, p: VehicleParams) -> Tuple[float, float]:
-    """Inertial accelerations; the relative air speed is taken as Vx."""
-    drag = 0.5 * p.C_d * p.rho * p.A_f * v_x * v_x
-    a_x = (f_x_total - drag - p.m * G * math.sin(slope)) / p.m
-    a_y = f_y_total / p.m
-    return a_x, a_y
-
-
-def yaw_acceleration(fx_body: Sequence[float], fy_body: Sequence[float],
-                     p: VehicleParams) -> float:
-    """Yaw acceleration: right-side longitudinal forces act at +w/2, left at
-    -w/2; front lateral forces at +a, rear at -b."""
-    return (0.5 * p.w * (fx_body[1] + fx_body[3] - fx_body[0] - fx_body[2])
-            + p.a * (fy_body[0] + fy_body[1])
-            - p.b * (fy_body[2] + fy_body[3])) / p.I_z
-
-
-def wheel_spin_derivative(torque: float, rolling: float, f_x_tire: float,
-                          p: VehicleParams) -> float:
-    """Wheel spin acceleration from the torque balance about the axle."""
-    return (torque - rolling - f_x_tire * p.R_w) / p.I_w
-
-
-def vertical_derivatives(state: Sequence[float], f_z: Sequence[float],
-                         a_x: float, a_y: float, z_road: Sequence[float],
-                         p: VehicleParams) -> Tuple[float, ...]:
-    """Heave, roll and pitch accelerations plus the four unsprung-mass
-    accelerations (fl, fr, rl, rr).
-
-    Suspension forces follow from the corner elevations of the body
-    (z -/+ a,b*sin(theta) +/- w/2*sin(phi)); longitudinal and lateral
-    load transfer enter as -m*a_x*h on pitch and -m*a_y*h on roll.
-    """
-    z, zd = state[3], state[4]
-    phi, phid = state[5], state[6]
-    theta, thetad = state[7], state[8]
-    zu = (state[9], state[11], state[13], state[15])
-    zud = (state[10], state[12], state[14], state[16])
-
-    sth = math.sin(theta)
-    cth = math.cos(theta)
-    sph = math.sin(phi)
-    cph = math.cos(phi)
-
-    ksf, csf, ksr, csr = p.k_sf, p.c_sf, p.k_sr, p.c_sr
-    a, b, w = p.a, p.b, p.w
-    hw = 0.5 * w
-
-    zdd = (-(2.0 * ksf + 2.0 * ksr) * z - (2.0 * csf + 2.0 * csr) * zd
-           + (2.0 * a * ksf - 2.0 * b * ksr) * sth
-           + (2.0 * a * csf - 2.0 * b * csr) * thetad * cth
-           + ksf * (zu[0] + zu[1]) + csf * (zud[0] + zud[1])
-           + ksr * (zu[2] + zu[3]) + csr * (zud[2] + zud[3])
-           + f_z[0] + f_z[1] + f_z[2] + f_z[3]) / p.m
-
-    thetadd = ((2.0 * a * ksf - 2.0 * b * ksr) * z
-               + (2.0 * a * csf - 2.0 * b * csr) * zd
-               - (2.0 * a * a * ksf + 2.0 * b * b * ksr) * sth
-               - (2.0 * a * a * csf + 2.0 * b * b * csr) * thetad * cth
-               - a * ksf * (zu[0] + zu[1]) - a * csf * (zud[0] + zud[1])
-               + b * ksr * (zu[2] + zu[3]) + b * csr * (zud[2] + zud[3])
-               - p.m * a_x * p.h
-               - a * (f_z[0] + f_z[1]) + b * (f_z[2] + f_z[3])) / p.I_y
-
-    phidd = (-hw * hw * (2.0 * ksf + 2.0 * ksr) * sph
-             - hw * hw * (2.0 * csf + 2.0 * csr) * phid * cph
-             + hw * (ksf * (zu[0] - zu[1]) + csf * (zud[0] - zud[1]))
-             + hw * (ksr * (zu[2] - zu[3]) + csr * (zud[2] - zud[3]))
-             - p.m * a_y * p.h
-             + hw * (f_z[0] - f_z[1] + f_z[2] - f_z[3])) / p.I_x
-
-    zudd_fl = (ksf * z + csf * zd - a * ksf * sth - a * csf * thetad * cth
-               + hw * ksf * sph + hw * csf * phid * cph
-               - (ksf + p.k_uf) * zu[0] - csf * zud[0]
-               + p.k_uf * z_road[0] - f_z[0]) / p.m_uf
-    zudd_fr = (ksf * z + csf * zd - a * ksf * sth - a * csf * thetad * cth
-               - hw * ksf * sph - hw * csf * phid * cph
-               - (ksf + p.k_uf) * zu[1] - csf * zud[1]
-               + p.k_uf * z_road[1] - f_z[1]) / p.m_uf
-    zudd_rl = (ksr * z + csr * zd + b * ksr * sth + b * csr * thetad * cth
-               + hw * ksr * sph + hw * csr * phid * cph
-               - (ksr + p.k_ur) * zu[2] - csr * zud[2]
-               + p.k_ur * z_road[2] - f_z[2]) / p.m_ur
-    zudd_rr = (ksr * z + csr * zd + b * ksr * sth + b * csr * thetad * cth
-               - hw * ksr * sph - hw * csr * phid * cph
-               - (ksr + p.k_ur) * zu[3] - csr * zud[3]
-               + p.k_ur * z_road[3] - f_z[3]) / p.m_ur
-
-    return zdd, thetadd, phidd, zudd_fl, zudd_fr, zudd_rl, zudd_rr
-
-
 def chassis_derivative(x: Sequence[float], f_x: Sequence[float],
-                       steer: Sequence[float], f_z: Sequence[float],
-                       z_road: Sequence[float], lat_scale: Sequence[float],
-                       slope: float, p: VehicleParams) -> List[float]:
+                       normals: Sequence[float], steer: Sequence[float],
+                       f_z: Sequence[float], z_road: Sequence[float],
+                       lat_scale: Sequence[float], slope: float,
+                       p: VehicleParams) -> List[float]:
     """Derivatives of the 17 control-oriented states.
 
-    The tire-frame longitudinal forces f_x are given; the lateral forces
-    follow from the tire curve at the slip angles and normal loads implied
-    by the state, with the peak scaled per tire by lat_scale.
+    The tire-frame longitudinal forces f_x and the normal loads are given;
+    lateral forces follow from the tire curve at the slip angles of the
+    state (hub-angle geometry), its peak mu*N scaled per tire by lat_scale.
+    Suspension forces follow from the body corner elevations
+    z -/+ a,b*sin(theta) +/- w/2*sin(phi); load transfer enters as
+    -m*a_x*h on pitch and -m*a_y*h on roll; the air speed is taken as Vx.
+    Straight-line on purpose: it is the plant's hot path, and every sum
+    and product keeps the operand order the logs are pinned to bit for bit.
     """
-    v_x, v_y, r = x[0], x[1], x[2]
-    normals = normal_forces((x[9], x[11], x[13], x[15]), z_road, p)
-    alphas = slip_angles(v_x, v_y, r, steer, p)
-    fx_body = [0.0] * 4
-    fy_body = [0.0] * 4
-    for i in range(4):
-        f_y = magic_formula(alphas[i], p.B2, p.C2, p.E2,
-                            p.mu * normals[i] * lat_scale[i])
-        fx_body[i], fy_body[i] = wheel_frame_to_body(f_x[i], f_y, steer[i])
+    (v_x, v_y, r, z, zd, phi, phid, theta, thetad,
+     zu0, zud0, zu1, zud1, zu2, zud2, zu3, zud3, *_) = x
+    fx0, fx1, fx2, fx3 = f_x
+    n0, n1, n2, n3 = normals
+    d0, d1, d2, d3 = steer
+    ls0, ls1, ls2, ls3 = lat_scale
+    a, b, hw, m, mu = p.a, p.b, p.hw, p.m, p.mu
+    B, C, E = p.B2, p.C2, p.E2
 
-    a_x, a_y = body_accelerations(sum(fx_body), sum(fy_body), v_x, slope, p)
-    rdot = yaw_acceleration(fx_body, fy_body, p)
+    # lateral tire forces: magic formula at slip angle delta - atan(num/den)
+    ra, rb = r * a, r * b
+    num_f, num_r = v_y + ra * p.cos_gf, v_y - rb * p.cos_gr
+    sf, sr = ra * p.sin_gf, rb * p.sin_gr
+    bs = B * (d0 - atan(num_f / _reg(v_x - sf)))
+    fy0 = mu * n0 * ls0 * sin(C * atan(bs - E * (bs - atan(bs))))
+    bs = B * (d1 - atan(num_f / _reg(v_x + sf)))
+    fy1 = mu * n1 * ls1 * sin(C * atan(bs - E * (bs - atan(bs))))
+    bs = B * (d2 - atan(num_r / _reg(v_x - sr)))
+    fy2 = mu * n2 * ls2 * sin(C * atan(bs - E * (bs - atan(bs))))
+    bs = B * (d3 - atan(num_r / _reg(v_x + sr)))
+    fy3 = mu * n3 * ls3 * sin(C * atan(bs - E * (bs - atan(bs))))
 
-    zdd, thetadd, phidd, zudd_fl, zudd_fr, zudd_rl, zudd_rr = \
-        vertical_derivatives(x, f_z, a_x, a_y, z_road, p)
+    # tire frame -> body frame
+    cd, sd = cos(d0), sin(d0)
+    fxb0, fyb0 = fx0 * cd - fy0 * sd, fy0 * cd + fx0 * sd
+    cd, sd = cos(d1), sin(d1)
+    fxb1, fyb1 = fx1 * cd - fy1 * sd, fy1 * cd + fx1 * sd
+    cd, sd = cos(d2), sin(d2)
+    fxb2, fyb2 = fx2 * cd - fy2 * sd, fy2 * cd + fx2 * sd
+    cd, sd = cos(d3), sin(d3)
+    fxb3, fyb3 = fx3 * cd - fy3 * sd, fy3 * cd + fx3 * sd
 
-    return [
-        a_x + r * v_y,          # Vx' (body frame rotating at r)
-        a_y - r * v_x,          # Vy'
-        rdot,                   # r'
-        x[4], zdd,              # z', zd'
-        x[6], phidd,            # phi', phid'
-        x[8], thetadd,          # theta', thetad'
-        x[10], zudd_fl, x[12], zudd_fr, x[14], zudd_rl, x[16], zudd_rr,
-    ]
+    a_x = (sum((fxb0, fxb1, fxb2, fxb3)) - p.drag_k * v_x * v_x
+           - p.weight * sin(slope)) / m
+    a_y = sum((fyb0, fyb1, fyb2, fyb3)) / m
+    rdot = (hw * (fxb1 + fxb3 - fxb0 - fxb2) + a * (fyb0 + fyb1)
+            - b * (fyb2 + fyb3)) / p.I_z
+
+    # heave, pitch, roll and the four unsprung masses
+    sth, cth = sin(theta), cos(theta)
+    sph, cph = sin(phi), cos(phi)
+    ksf, csf, ksr, csr = p.k_sf, p.c_sf, p.k_sr, p.c_sr
+    k_hp, c_hp = p.k_hp, p.c_hp
+    a_ksf, a_csf, b_ksr, b_csr = p.a_ksf, p.a_csf, p.b_ksr, p.b_csr
+    fz0, fz1, fz2, fz3 = f_z
+    zr0, zr1, zr2, zr3 = z_road
+    zu_f, zud_f, zu_r, zud_r = zu0 + zu1, zud0 + zud1, zu2 + zu3, zud2 + zud3
+
+    zdd = (-p.k_heave * z - p.c_heave * zd + k_hp * sth
+           + c_hp * thetad * cth + ksf * zu_f + csf * zud_f
+           + ksr * zu_r + csr * zud_r + fz0 + fz1 + fz2 + fz3) / m
+    thetadd = (k_hp * z + c_hp * zd - p.k_pitch * sth
+               - p.c_pitch * thetad * cth - a_ksf * zu_f - a_csf * zud_f
+               + b_ksr * zu_r + b_csr * zud_r - m * a_x * p.h
+               - a * (fz0 + fz1) + b * (fz2 + fz3)) / p.I_y
+    phidd = (-p.k_roll * sph - p.c_roll * phid * cph
+             + hw * (ksf * (zu0 - zu1) + csf * (zud0 - zud1))
+             + hw * (ksr * (zu2 - zu3) + csr * (zud2 - zud3))
+             - m * a_y * p.h + hw * (fz0 - fz1 + fz2 - fz3)) / p.I_x
+
+    k_tf, k_tr, k_uf, k_ur = p.k_tf, p.k_tr, p.k_uf, p.k_ur
+    front = ksf * z + csf * zd - a_ksf * sth - a_csf * thetad * cth
+    rear = ksr * z + csr * zd + b_ksr * sth + b_csr * thetad * cth
+    roll_f, rolld_f = p.hw_ksf * sph, p.hw_csf * phid * cph
+    roll_r, rolld_r = p.hw_ksr * sph, p.hw_csr * phid * cph
+    zudd0 = (front + roll_f + rolld_f - k_tf * zu0 - csf * zud0
+             + k_uf * zr0 - fz0) / p.m_uf
+    zudd1 = (front - roll_f - rolld_f - k_tf * zu1 - csf * zud1
+             + k_uf * zr1 - fz1) / p.m_uf
+    zudd2 = (rear + roll_r + rolld_r - k_tr * zu2 - csr * zud2
+             + k_ur * zr2 - fz2) / p.m_ur
+    zudd3 = (rear - roll_r - rolld_r - k_tr * zu3 - csr * zud3
+             + k_ur * zr3 - fz3) / p.m_ur
+
+    return [a_x + r * v_y,      # Vx' (body frame rotating at r)
+            a_y - r * v_x,      # Vy'
+            rdot, zd, zdd, phid, phidd, thetad, thetadd,
+            zud0, zudd0, zud1, zudd1, zud2, zudd2, zud3, zudd3]
 
 
 def state_derivative(x: Sequence[float], u: PlantInputs,
                      p: VehicleParams) -> List[float]:
-    """Full state derivative; pure and deterministic in its arguments."""
-    v_x, v_y, r = x[0], x[1], x[2]
-    normals = normal_forces((x[9], x[11], x[13], x[15]), u.z_road, p)
+    """Full state derivative; pure and deterministic in its arguments.
 
-    f_x = [0.0] * 4
-    wdot = [0.0] * 4
-    for i in range(4):
-        n = normals[i]
-        omega = x[17 + i]
-        f_x[i] = magic_formula(longitudinal_slip(v_x, omega, p.R_w),
-                               p.B1, p.C1, p.E1, p.mu * n)
-        sgn = 1.0 if omega > 0.0 else (-1.0 if omega < 0.0 else 0.0)
-        wdot[i] = wheel_spin_derivative(
-            u.torque[i], rolling_resistance(n, v_x, p.p0, p.p1, p.p2) * sgn,
-            f_x[i], p)
+    Wheel i: slip ratio lam = (w*Rw - Vx) / (w*Rw if w*Rw >= Vx else Vx),
+    the denominator floored at V_EPS and lam clamped to [-1, 1]; the tire
+    curve gives f_x = mu*N*sin(C*atan(B*lam - E*(B*lam - atan(B*lam))));
+    the spin balance is I_w*w' = T - sgn(w)*N*rr(Vx) - f_x*R_w with the
+    rolling-resistance coefficient rr = p0 + p1*Vx/30 + p2*(Vx/30)^4.
+    """
+    (v_x, v_y, r, _, _, _, _, _, _, zu0, _, zu1, _, zu2, _, zu3, _,
+     w0, w1, w2, w3, _, _, psi) = x
+    normals = normal_forces((zu0, zu1, zu2, zu3), u.z_road, p)
+    n0, n1, n2, n3 = normals
+    t0, t1, t2, t3 = u.torque
+    mu, R_w, I_w = p.mu, p.R_w, p.I_w
+    B, C, E = p.B1, p.C1, p.E1
+    ratio = v_x / 30.0
+    rr = p.p0 + p.p1 * ratio + p.p2 * ratio ** 4
+    v_den = _reg(v_x)
 
-    out = chassis_derivative(x, f_x, u.steer, u.f_z, u.z_road, u.lat_scale,
-                             u.slope, p)
-    psi = x[23]
-    cpsi = math.cos(psi)
-    spsi = math.sin(psi)
-    out += wdot
-    out += (v_x * cpsi - v_y * spsi,   # X'
+    wr = w0 * R_w
+    lam = (wr - v_x) / (_reg(wr) if wr >= v_x else v_den)
+    bs = B * (1.0 if lam > 1.0 else -1.0 if lam < -1.0 else lam)
+    fx0 = mu * n0 * sin(C * atan(bs - E * (bs - atan(bs))))
+    sgn = 1.0 if w0 > 0.0 else -1.0 if w0 < 0.0 else 0.0
+    wd0 = (t0 - n0 * rr * sgn - fx0 * R_w) / I_w
+    wr = w1 * R_w
+    lam = (wr - v_x) / (_reg(wr) if wr >= v_x else v_den)
+    bs = B * (1.0 if lam > 1.0 else -1.0 if lam < -1.0 else lam)
+    fx1 = mu * n1 * sin(C * atan(bs - E * (bs - atan(bs))))
+    sgn = 1.0 if w1 > 0.0 else -1.0 if w1 < 0.0 else 0.0
+    wd1 = (t1 - n1 * rr * sgn - fx1 * R_w) / I_w
+    wr = w2 * R_w
+    lam = (wr - v_x) / (_reg(wr) if wr >= v_x else v_den)
+    bs = B * (1.0 if lam > 1.0 else -1.0 if lam < -1.0 else lam)
+    fx2 = mu * n2 * sin(C * atan(bs - E * (bs - atan(bs))))
+    sgn = 1.0 if w2 > 0.0 else -1.0 if w2 < 0.0 else 0.0
+    wd2 = (t2 - n2 * rr * sgn - fx2 * R_w) / I_w
+    wr = w3 * R_w
+    lam = (wr - v_x) / (_reg(wr) if wr >= v_x else v_den)
+    bs = B * (1.0 if lam > 1.0 else -1.0 if lam < -1.0 else lam)
+    fx3 = mu * n3 * sin(C * atan(bs - E * (bs - atan(bs))))
+    sgn = 1.0 if w3 > 0.0 else -1.0 if w3 < 0.0 else 0.0
+    wd3 = (t3 - n3 * rr * sgn - fx3 * R_w) / I_w
+
+    out = chassis_derivative(x, (fx0, fx1, fx2, fx3), normals, u.steer,
+                             u.f_z, u.z_road, u.lat_scale, u.slope, p)
+    cpsi, spsi = cos(psi), sin(psi)
+    out += (wd0, wd1, wd2, wd3,
+            v_x * cpsi - v_y * spsi,   # X'
             v_x * spsi + v_y * cpsi,   # Y'
             r)                         # psi'
     return out
-
-
-def rk4(f: Callable[[Sequence[float]], Sequence[float]],
-        x: Sequence[float], dt: float) -> List[float]:
-    """One classical 4th-order step of x' = f(x)."""
-    k1 = f(x)
-    h = 0.5 * dt
-    k2 = f([xi + h * ki for xi, ki in zip(x, k1)])
-    k3 = f([xi + h * ki for xi, ki in zip(x, k2)])
-    k4 = f([xi + dt * ki for xi, ki in zip(x, k3)])
-    s = dt / 6.0
-    return [xi + s * (a + 2.0 * (b + c) + d)
-            for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
 
 
 def step_rk4(state: PlantState, inputs: PlantInputs, p: VehicleParams,
@@ -325,7 +305,16 @@ def step_rk4(state: PlantState, inputs: PlantInputs, p: VehicleParams,
         raise ValueError("dt must be positive")
     if state.diverged:
         return state
-    nxt = rk4(lambda v: state_derivative(v, inputs, p), state.as_list(), dt)
+    # classical RK4; each stage looks state_derivative up as a global
+    x = state.as_list()
+    k1 = state_derivative(x, inputs, p)
+    h = 0.5 * dt
+    k2 = state_derivative([xi + h * ki for xi, ki in zip(x, k1)], inputs, p)
+    k3 = state_derivative([xi + h * ki for xi, ki in zip(x, k2)], inputs, p)
+    k4 = state_derivative([xi + dt * ki for xi, ki in zip(x, k3)], inputs, p)
+    s = dt / 6.0
+    nxt = [xi + s * (a + 2.0 * (b + c) + d)
+           for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
     # a finite sum means every entry is finite (inf or NaN would propagate)
     if not (math.isfinite(sum(nxt))
             and -BLOW_UP_LIMIT <= min(nxt) and max(nxt) <= BLOW_UP_LIMIT):

@@ -26,8 +26,9 @@ breakpoint lists ``t:value`` separated by whitespace.
 ``[gains]`` and ``[allocator]`` sections set individual fields of
 :class:`Gains` and :class:`AllocatorConfig`; the rest keep their defaults.
 The parsed :class:`Scenario` is the whole description of a run: every
-number in the file must be finite, and every setting is checked when the
-file is parsed (ConfigError).
+number in the file must be finite, every event must fall before the
+horizon, no section or key may appear twice, and every setting is checked
+when the file is parsed (ConfigError).
 """
 from __future__ import annotations
 
@@ -168,6 +169,7 @@ def parse_scenario(text: str, name: Optional[str] = None) -> Scenario:
     keyvals: Dict[str, Dict[str, str]] = {"scenario": {}, "driver": {},
                                           "gains": {}, "allocator": {}}
     events = []
+    seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -177,6 +179,10 @@ def parse_scenario(text: str, name: Optional[str] = None) -> Scenario:
             if section not in ("scenario", "driver", "events",
                                "gains", "allocator"):
                 raise ConfigError(f"line {lineno}: unknown section {section!r}")
+            if section in seen:
+                raise ConfigError(f"line {lineno}: repeated section "
+                                  f"[{section}]")
+            seen.add(section)
             continue
         if section is None:
             raise ConfigError(f"line {lineno}: content before any section")
@@ -186,7 +192,11 @@ def parse_scenario(text: str, name: Optional[str] = None) -> Scenario:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
-        keyvals[section][key.strip()] = value.strip()
+        key = key.strip()
+        if key in keyvals[section]:
+            raise ConfigError(f"line {lineno}: repeated key {key!r} in "
+                              f"[{section}]")
+        keyvals[section][key] = value.strip()
 
     sc = keyvals["scenario"]
     try:
@@ -210,6 +220,9 @@ def parse_scenario(text: str, name: Optional[str] = None) -> Scenario:
 
     if any(e1.time < e0.time for e0, e1 in zip(events, events[1:])):
         raise ConfigError("events must be listed in time order")
+    if events and events[-1].time >= horizon:
+        raise ConfigError(f"event at t={events[-1].time!r} would never fire: "
+                          f"it is not before the horizon {horizon!r}")
 
     return Scenario(
         name=sc.get("name", name or "unnamed"),

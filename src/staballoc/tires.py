@@ -1,15 +1,12 @@
-"""Tire-level primitives: slip quantities, the empirical force curve and
-rolling resistance.
+"""Slip denominator floor.
 
 All slip denominators are floored at ``V_EPS`` (sign preserving) so the
-expressions stay finite at standstill and at locked/spinning wheels.
+slip ratio, the slip angles and the measured side slip stay finite at
+standstill and at locked/spinning wheels.  The tire force curve and the
+rolling resistance are written out inside ``plant.state_derivative`` and
+``plant.chassis_derivative``.
 """
 from __future__ import annotations
-
-import math
-from typing import Sequence, Tuple
-
-from .params import VehicleParams
 
 V_EPS = 0.1  # m/s, slip denominator floor
 
@@ -19,55 +16,3 @@ def _reg(x: float) -> float:
     if x >= 0.0:
         return x if x > V_EPS else V_EPS
     return x if x < -V_EPS else -V_EPS
-
-
-def longitudinal_slip(v_x: float, omega: float, r_w: float) -> float:
-    """Slip ratio with separate driving/braking branches.
-
-    Driving (w*Rw >= Vx): (w*Rw - Vx) / w*Rw.  Braking: (w*Rw - Vx) / Vx.
-    Result is clamped to [-1, 1].
-    """
-    wr = omega * r_w
-    denom = _reg(wr) if wr >= v_x else _reg(v_x)
-    lam = (wr - v_x) / denom
-    if lam > 1.0:
-        return 1.0
-    if lam < -1.0:
-        return -1.0
-    return lam
-
-
-def slip_angles(v_x: float, v_y: float, r: float,
-                steer: Sequence[float], p: VehicleParams,
-                ) -> Tuple[float, float, float, float]:
-    """Per-wheel slip angles (fl, fr, rl, rr) from body velocities, yaw rate
-    and the individual steering angles, using the hub-angle geometry."""
-    ra = r * p.a
-    rb = r * p.b
-    num_f = v_y + ra * p.cos_gf
-    num_r = v_y - rb * p.cos_gr
-    a_fl = steer[0] - math.atan(num_f / _reg(v_x - ra * p.sin_gf))
-    a_fr = steer[1] - math.atan(num_f / _reg(v_x + ra * p.sin_gf))
-    a_rl = steer[2] - math.atan(num_r / _reg(v_x - rb * p.sin_gr))
-    a_rr = steer[3] - math.atan(num_r / _reg(v_x + rb * p.sin_gr))
-    return a_fl, a_fr, a_rl, a_rr
-
-
-def magic_formula(slip: float, b: float, c: float, e: float, peak: float) -> float:
-    """force = peak * sin(c * atan(b*s - e*(b*s - atan(b*s))))."""
-    bs = b * slip
-    return peak * math.sin(c * math.atan(bs - e * (bs - math.atan(bs))))
-
-
-def rolling_resistance(n: float, v_x: float,
-                       p0: float, p1: float, p2: float) -> float:
-    """Rolling-resistance torque magnitude for one wheel at normal load n."""
-    ratio = v_x / 30.0
-    return n * (p0 + p1 * ratio + p2 * ratio ** 4)
-
-
-def wheel_frame_to_body(f_x: float, f_y: float, delta: float) -> Tuple[float, float]:
-    """Rotate a tire-frame force pair into the body frame by steer angle."""
-    cd = math.cos(delta)
-    sd = math.sin(delta)
-    return f_x * cd - f_y * sd, f_y * cd + f_x * sd

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -325,6 +329,21 @@ class TestCli:
         assert cli_main(["run", str(scenario_dir / "high_speed.scn"),
                          "--dt", dt, "--out", str(out)]) == 3
         assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_module_entry_point_runs_from_a_checkout(self, tmp_path,
+                                                    scenario_dir):
+        # `python -m staballoc` with only the source tree on the path
+        src = Path(__file__).resolve().parents[1] / "src"
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "staballoc", "run",
+             str(scenario_dir / "high_speed.scn"), "--dt", "0.003",
+             "--out", str(out)],
+            cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 3, proc.stderr
+        assert "configuration error" in proc.stderr
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [

@@ -1,14 +1,19 @@
 import math
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from staballoc.params import G, VehicleParams
-from staballoc.plant import (STATE_NAMES, PlantInputs, PlantState,
-                             body_accelerations, normal_forces, rk4,
-                             state_derivative, step_rk4,
+import reference_plant as ref
+from reference_plant import (body_accelerations, longitudinal_slip,
+                             magic_formula, rk4, slip_angles,
                              vertical_derivatives, wheel_spin_derivative,
                              yaw_acceleration)
-from staballoc.tires import longitudinal_slip, magic_formula, slip_angles
+from staballoc.linmodel import reduced_derivative
+from staballoc.params import G, VehicleParams
+from staballoc.plant import (STATE_NAMES, PlantInputs, PlantState,
+                             normal_forces, state_derivative, step_rk4)
+from staballoc.tires import V_EPS
 
 ZERO4 = (0.0, 0.0, 0.0, 0.0)
 
@@ -280,3 +285,122 @@ class TestTrajectoryInvariants:
         d1 = state_derivative(s.as_list(), u, params)
         d2 = state_derivative(s.as_list(), u, params)
         assert d1 == d2
+
+
+# ---------------------------------------------------------------------------
+# the straight-line kernel against the helper-built reference, bit for bit
+
+P_STOCK = VehicleParams()
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+def signed(bound):
+    return st.floats(-bound, bound)
+
+
+@st.composite
+def kernel_cases(draw):
+    """Vehicle parameters, a plant state and inputs, with the edge regions
+    of the tire and suspension equations drawn on purpose."""
+    p = VehicleParams(mu=draw(st.sampled_from([1.0, 0.35, 1.1])),
+                      a=draw(st.sampled_from([1.125, 1.1371])),
+                      b=draw(st.sampled_from([1.375, 1.4093])),
+                      w=draw(st.sampled_from([1.6, 1.47])),
+                      k_sf=draw(st.sampled_from([21.0e3, 20517.3])),
+                      k_sr=draw(st.sampled_from([21.0e3, 19873.9])),
+                      c_sf=draw(st.sampled_from([1000.0, 0.0, 1234.5])),
+                      h=draw(st.sampled_from([0.375, 0.52])))
+    lift = p.N_front_static / p.k_uf   # tire deflection at wheel lift-off
+    v_x = draw(st.one_of(signed(V_EPS), signed(45.0),
+                         st.sampled_from([0.0, -0.0, V_EPS, -V_EPS])))
+    z_road = tuple(draw(st.one_of(st.just(0.0), signed(0.05)))
+                   for _ in range(4))
+    x = [v_x, draw(signed(5.0)), draw(signed(1.5)), draw(signed(0.1)),
+         draw(signed(1.0)), draw(signed(0.2)), draw(signed(2.0)),
+         draw(signed(0.1)), draw(signed(1.0))]
+    for zr in z_road:
+        lifted = zr + draw(st.floats(lift, 5.0 * lift))
+        x += [draw(st.one_of(signed(0.05), st.just(lifted))),
+              draw(signed(2.0))]
+    for _ in range(4):
+        x.append(draw(st.one_of(
+            st.just(v_x / p.R_w),                   # free rolling
+            st.just(0.0), st.just(-0.0),            # locked
+            st.floats(-150.0, -0.001),              # reversed
+            signed(150.0))))
+    x += [draw(signed(500.0)), draw(signed(500.0)), draw(signed(7.0))]
+    u = PlantInputs(
+        steer=tuple(draw(signed(0.6)) for _ in range(4)),
+        torque=tuple(draw(signed(1600.0)) for _ in range(4)),
+        f_z=tuple(draw(signed(5500.0)) for _ in range(4)),
+        z_road=z_road,
+        slope=draw(st.one_of(st.just(0.0), signed(0.3))),
+        lat_scale=tuple(draw(st.one_of(st.just(1.0), st.floats(0.05, 1.0)))
+                        for _ in range(4)))
+    return p, x, u
+
+
+class TestKernel:
+    @given(case=kernel_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_state_derivative_matches_reference(self, case):
+        p, x, u = case
+        assert hexes(state_derivative(x, u, p)) == \
+            hexes(ref.state_derivative(x, u, p))
+
+    @given(case=kernel_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_reduced_derivative_matches_reference_chassis(self, case):
+        p, x, u = case
+        cmd = [*u.steer, *u.torque, *u.f_z]
+        expected = ref.chassis_derivative(
+            x[:17], [t / p.R_w for t in u.torque], u.steer, u.f_z,
+            (0.0, 0.0, 0.0, 0.0), (1.0, 1.0, 1.0, 1.0), 0.0, p)
+        assert hexes(reduced_derivative(x[:17], cmd, p)) == hexes(expected)
+
+    def test_seeded_random_states_match_reference(self):
+        # a reordered sum or product changes the result only for some
+        # roundings; thousands of plain random states hit those reliably
+        rng = random.Random(2020)
+        fleet = [P_STOCK] + [
+            VehicleParams(**{name: getattr(P_STOCK, name)
+                             * rng.uniform(0.8, 1.25) for name in (
+                                 "m", "a", "b", "w", "h", "I_x", "I_y",
+                                 "I_z", "k_sf", "k_sr", "c_sf", "c_sr",
+                                 "k_uf", "k_ur", "C_d", "A_f", "mu")})
+            for _ in range(15)]
+        scales = (40.0, 5.0, 1.5, 0.05, 1.0, 0.2, 2.0, 0.1, 1.0,
+                  0.02, 2.0, 0.02, 2.0, 0.02, 2.0, 0.02, 2.0,
+                  150.0, 150.0, 150.0, 150.0, 500.0, 500.0, 7.0)
+
+        def draw(bound, n=4):
+            return tuple(rng.uniform(-bound, bound) for _ in range(n))
+
+        for k in range(3000):
+            p = fleet[k % len(fleet)]
+            x = [rng.uniform(-s, s) for s in scales]
+            u = PlantInputs(steer=draw(0.6), torque=draw(1500.0),
+                            f_z=draw(5000.0), z_road=draw(0.03),
+                            slope=rng.uniform(-0.3, 0.3),
+                            lat_scale=tuple(rng.uniform(0.05, 1.0)
+                                            for _ in range(4)))
+            assert hexes(state_derivative(x, u, p)) == \
+                hexes(ref.state_derivative(x, u, p)), k
+            expected = ref.chassis_derivative(
+                x[:17], [t / p.R_w for t in u.torque], u.steer, u.f_z,
+                (0.0, 0.0, 0.0, 0.0), (1.0, 1.0, 1.0, 1.0), 0.0, p)
+            cmd = [*u.steer, *u.torque, *u.f_z]
+            assert hexes(reduced_derivative(x[:17], cmd, p)) == \
+                hexes(expected), k
+
+    @given(case=kernel_cases(), dt=st.sampled_from([5e-4, 1e-3, 2e-3]))
+    @settings(max_examples=50, deadline=None)
+    def test_rk4_step_matches_reference(self, case, dt):
+        p, x, u = case
+        expected = ref.rk4(lambda v: ref.state_derivative(v, u, p), x, dt)
+        s = step_rk4(PlantState.from_list(x), u, p, dt)
+        if not s.diverged:
+            assert hexes(s.as_list()) == hexes(expected)

@@ -146,7 +146,8 @@ class TestValidation:
 # round trips: a scenario written as text parses back to the same values
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
-TIMES = st.floats(0.0, 1.0e6)
+HORIZON = 1.0
+TIMES = st.floats(0.0, HORIZON, exclude_max=True)   # events fire in [0, T)
 UNIT = st.floats(0.0, 1.0, exclude_min=True)
 GAIN_FIELDS = tuple(Gains.__dataclass_fields__)
 ALLOCATOR_FIELDS = tuple(AllocatorConfig.__dataclass_fields__)
@@ -189,7 +190,7 @@ def scenarios(draw):
     """A valid scenario as lines of text pieces and numbers."""
     evs = sorted(draw(st.lists(events(), max_size=6)), key=lambda e: e.time)
     lines = [["[scenario]"], ["v0 =", draw(st.floats(0.0, 100.0))],
-             ["horizon =", 1.0], ["dt =", 0.001], ["[driver]"]]
+             ["horizon =", HORIZON], ["dt =", 0.001], ["[driver]"]]
     for channel in ("steer", "pedal", "brake"):
         lines.append([f"{channel} =", *draw(profiles())])
     lines.append(["[events]"])
@@ -242,6 +243,53 @@ def section_of(lines, header):
 
 def hexes(values):
     return [float.hex(v) for v in values]
+
+
+class TestRepeats:
+    BASE = "[scenario]\nv0 = 10\nhorizon = 1\ndt = 0.001\n"
+
+    @pytest.mark.parametrize("tail, line", [
+        ("v0 = 30\n", 5),
+        ("[gains]\nkp_mz = 1\nkp_mz = 2\n", 7),
+        ("[driver]\nsteer = 0:0\n  steer=0:0.1\n", 7),
+        ("[allocator]\ngamma = 10\n# comment\n gamma = 10\n", 8)])
+    def test_repeated_key_names_its_line(self, tail, line):
+        with pytest.raises(ConfigError, match=f"line {line}: repeated key"):
+            parse_scenario(self.BASE + tail)
+
+    @pytest.mark.parametrize("tail, line", [
+        ("[gains]\nkp_mz = 1\n[gains]\nkp_fy = 2\n", 7),
+        ("[events]\n0.1 friction all 0.9\n[events]\n", 7),
+        ("[ Scenario ]\n", 5),
+        ("[driver]\n[allocator]\n[driver]\n", 7)])
+    def test_repeated_section_names_its_line(self, tail, line):
+        with pytest.raises(ConfigError,
+                           match=f"line {line}: repeated section"):
+            parse_scenario(self.BASE + tail)
+
+
+class TestEventHorizon:
+    @pytest.mark.parametrize("time", ["1.0", "1", "5.0"])
+    def test_event_at_or_past_horizon_rejected(self, time):
+        text = ("[scenario]\nv0 = 10\nhorizon = 1\ndt = 0.001\n"
+                f"[events]\n0.5 friction all 0.9\n{time} friction all 0.5\n")
+        with pytest.raises(ConfigError, match="never fire"):
+            parse_scenario(text)
+
+    def test_last_step_event_accepted(self):
+        text = ("[scenario]\nv0 = 10\nhorizon = 1\ndt = 0.001\n"
+                "[events]\n0.999 friction all 0.5\n")
+        assert parse_scenario(text).events[-1].time == 0.999
+
+    @given(lines=scenarios(), time=st.floats(HORIZON, 1.0e6),
+           kind=st.sampled_from(["friction", "elevation"]))
+    @settings(max_examples=60, deadline=None)
+    def test_any_event_at_or_past_horizon_is_config_error(self, lines, time,
+                                                          kind):
+        events_end = lines.index(["[gains]"])
+        lines.insert(events_end, [time, kind, "all", 0.5])
+        with pytest.raises(ConfigError, match="never fire"):
+            parse_scenario(render(lines))
 
 
 class TestRoundTrip:

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from staballoc.tires import (longitudinal_slip, magic_formula,
+from reference_plant import (longitudinal_slip, magic_formula,
                              rolling_resistance, slip_angles,
                              wheel_frame_to_body)
 
