@@ -11,8 +11,7 @@ from .allocator import AdaptiveAllocator, AllocatorConfig, measured_net, \
 from .controllers import ControllerState, DriverInput, Gains, \
     PiecewiseLinear
 from .harness import run_scenario, sweep_max_speed
-from .linmodel import LinearModel, build_bl, build_bn, build_bv, build_d, \
-    linearize
+from .linmodel import build_bl, build_bn, build_bv, linearize
 from .logio import RunLog, emit_csv, emit_svg_plots, parse_csv
 from .metrics import Metrics, compute_metrics
 from .params import G, VehicleParams
@@ -32,7 +31,6 @@ __all__ = [
     "Event",
     "G",
     "Gains",
-    "LinearModel",
     "Metrics",
     "PiecewiseLinear",
     "PlantInputs",
@@ -43,7 +41,6 @@ __all__ = [
     "build_bl",
     "build_bn",
     "build_bv",
-    "build_d",
     "compute_metrics",
     "emit_csv",
     "linearize",

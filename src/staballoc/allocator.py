@@ -6,8 +6,8 @@ auxiliary state xi integrating the mismatch between the realized net
 efforts and v, and a reference state xi_m.  theta is adjusted online with
 a Lyapunov-based law under an entrywise box projection, so the realized
 efforts converge to v without identifying which actuators lost
-effectiveness.  The actuator command is u = B_n(t)^-1 u_bar plus the
-driver's front-steering contribution.
+effectiveness.  The allocated command is u = B_n(t)^-1 u_bar; the harness
+adds the driver's front steering to it.
 
 Effort channels are pre-scaled to order one (forces and moments are in the
 kN range) so a single scalar adaptation rate is meaningful.
@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .linmodel import C_ALPHA_DEFAULT, bn_is_invertible
-from .params import G, ConfigError, VehicleParams
+from .params import ConfigError, VehicleParams
 
 
 def solve_lyapunov(a_m: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -99,7 +98,7 @@ class AllocatorConfig:
 
 @dataclass
 class StepResult:
-    u: np.ndarray           # 12-entry actuator command
+    u: np.ndarray           # allocated command B_n^-1 u_bar (read only)
     u_bar: np.ndarray       # intermediate command, B_n-space
     residual: float         # |realized - v| in scaled effort units
     bn_ok: bool             # False when B_n was not invertible
@@ -116,19 +115,17 @@ class AdaptiveAllocator:
     the adaptation law's stability structure intact.
     """
 
-    def __init__(self, b_l: np.ndarray, config: Optional[AllocatorConfig] = None):
-        self.cfg = config or AllocatorConfig()
+    def __init__(self, b_l: np.ndarray, config: AllocatorConfig):
+        self.cfg = config
         b_l = np.asarray(b_l, dtype=float)
         self.n_v, self.n_u = b_l.shape
-        self.b_l = b_l
         col_norms = np.linalg.norm(b_l, axis=0)
         if np.min(col_norms) <= 0.0:
             raise ValueError("effort map has an all-zero column")
         self.u_scale = self.cfg.v_scale / col_norms
         self.b_hat = b_l * (self.u_scale / self.cfg.v_scale)  # unit columns
-        a_m = -self.cfg.am_scale * np.eye(self.n_v)
-        self.a_m = a_m
-        self.p = solve_lyapunov(a_m, np.eye(self.n_v))
+        self.a_m = -self.cfg.am_scale * np.eye(self.n_v)
+        self.p = solve_lyapunov(self.a_m, np.eye(self.n_v))
         self.theta = init_theta(self.b_hat)           # n_u x n_v
         half = self.cfg.theta_bound_factor * np.abs(self.theta)
         half[half == 0.0] = self.cfg.theta_bound_floor
@@ -139,24 +136,8 @@ class AdaptiveAllocator:
         self.prev_u_ca = np.zeros(self.n_u)
         self.bn_failures = 0
 
-    def error(self) -> np.ndarray:
-        return self.xi - self.xi_m
-
-    def theta_star(self, lam: np.ndarray) -> np.ndarray:
-        """Minimum-norm ideal parameters for a known effectiveness diagonal,
-        in the allocator's normalized coordinates."""
-        return init_theta(self.b_hat * np.asarray(lam))
-
-    def lyapunov_value(self, lam: np.ndarray, th_star: np.ndarray) -> float:
-        """e'P e + tr(theta_err' Lambda theta_err)/gamma for a known Lambda."""
-        e = self.xi - self.xi_m
-        err = self.theta - th_star
-        weighted = np.asarray(lam)[:, None] * err
-        return float(e @ self.p @ e + np.trace(err.T @ weighted) / self.cfg.gamma)
-
     def step(self, v: np.ndarray, realized: np.ndarray,
-             bn_diag: np.ndarray, dt: float,
-             delta_in: float = 0.0) -> StepResult:
+             bn_diag: np.ndarray, dt: float) -> StepResult:
         """One explicit-Euler update of the adaptation and the allocation.
 
         v and realized are in physical effort units; bn_diag is the current
@@ -183,32 +164,26 @@ class AdaptiveAllocator:
         bn = np.asarray(bn_diag, dtype=float)
         bn_ok = bn_is_invertible(bn)
         if bn_ok:
-            u_ca = u_bar / bn
-            self.prev_u_ca = u_ca
+            self.prev_u_ca = u_bar / bn
         else:
             self.bn_failures += 1
-            u_ca = self.prev_u_ca
-        u = u_ca.copy()
-        if self.n_u == 12:
-            u[0] += delta_in
-            u[1] += delta_in
         residual = float(np.linalg.norm(r_s - v_s))
-        return StepResult(u=u, u_bar=u_bar, residual=residual, bn_ok=bn_ok)
+        return StepResult(u=self.prev_u_ca, u_bar=u_bar, residual=residual,
+                          bn_ok=bn_ok)
 
 
 def measured_net(a_x: float, a_y: float, yaw_acc: float, roll_acc: float,
-                 pitch_acc: float, v_x: float, p: VehicleParams,
-                 slope: float = 0.0) -> np.ndarray:
+                 pitch_acc: float, v_x: float, p: VehicleParams) -> np.ndarray:
     """Net actuator-generated efforts reconstructed from IMU accelerations.
 
-    Known non-actuator contributions are removed: drag (and the gravity
-    component on a graded road) is added back on the longitudinal channel
-    and the load-transfer moments are compensated out of the roll and
-    pitch channels, so at rest the result is the zero vector.
+    Known non-actuator contributions are removed: drag is added back on the
+    longitudinal channel and the load-transfer moments are compensated out
+    of the roll and pitch channels, so at rest the result is the zero
+    vector.
     """
     drag = 0.5 * p.rho * p.C_d * p.A_f * v_x * v_x
     return np.array([
-        p.m * a_x + drag + p.m * G * math.sin(slope),
+        p.m * a_x + drag,
         p.m * a_y,
         p.I_z * yaw_acc,
         p.I_x * roll_acc + p.m * a_y * p.h,

@@ -31,11 +31,10 @@ from .logio import RunLog
 from .metrics import compute_metrics
 from .params import VehicleParams
 from .plant import (PlantInputs, PlantState, STEER_LIMIT, SUSPENSION_LIMIT,
-                    TORQUE_LIMIT, clip, normal_forces, state_derivative,
+                    TORQUE_LIMIT, _reg, clip, normal_forces, state_derivative,
                     step_rk4)
 from .scenario import (ACTUATOR_NAMES, CONTROLLERS, TIRE_SETS, ConfigError,
-                       Event, Scenario, check_step)
-from .tires import _reg
+                       Event, Scenario, check_events, check_step)
 
 BETA_LIMIT = math.radians(15.0)  # a sweep run survives below this max|beta|
 
@@ -140,8 +139,10 @@ class _Loop:
         alloc = self.allocator
         steer_prev = tuple(alloc.prev_u_ca[0:4])
         bn = build_bn(steer_prev, normals, p)
-        res = alloc.step(v, realized, bn, dt, delta_in=delta_in)
+        res = alloc.step(v, realized, bn, dt)
         u = res.u.tolist()
+        u[0] += delta_in
+        u[1] += delta_in
         if self.mode == "hybrid":
             u[8:12] = baseline_suspension(meas["theta"], meas["phi"],
                                           self.gains, self.cs, dt)
@@ -154,11 +155,14 @@ def run_scenario(scn: Scenario, controller: Optional[str] = None,
 
     The scenario carries every setting of the run; controller and dt, when
     given, replace its controller and step.  The run stops early with a
-    partial log when the plant diverges.  A dt that is not positive or does
-    not divide the horizon raises ConfigError before any step.
+    partial log when the plant diverges.  A dt that is not positive, does
+    not divide the horizon or, replacing the parsed one, leaves an event
+    after the last step raises ConfigError before any step.
     """
     dt = scn.dt if dt is None else dt
     n_steps = check_step(dt, scn.horizon)
+    if dt != scn.dt:
+        check_events(scn.events, dt, n_steps)
     p = VehicleParams()
     mode = controller or scn.controller
     if mode not in CONTROLLERS:
@@ -217,19 +221,19 @@ def run_scenario(scn: Scenario, controller: Optional[str] = None,
 
 
 def sweep_max_speed(scn: Scenario, controller: str,
-                    v_min: float, v_max: float,
-                    resolution: float = 0.25) -> float:
+                    v_min: float, v_max: float, resolution: float) -> float:
     """Largest initial speed in [v_min, v_max] the controller survives.
 
     Survival: no spin flag, no divergence, and max |beta| below BETA_LIMIT.
     Bisection to the given resolution, assuming a single stability
-    threshold in the range.  Returns NaN when even v_min fails; an empty
-    range or a non-positive resolution raises ConfigError.
+    threshold in the range.  Returns NaN when even v_min fails; raises
+    ConfigError unless 0 <= v_min <= v_max < inf and 0 < resolution < inf.
     """
-    if not v_min <= v_max:
-        raise ConfigError(f"empty speed range [{v_min!r}, {v_max!r}]")
-    if not resolution > 0.0:
-        raise ConfigError(f"resolution must be positive, not {resolution!r}")
+    if not 0.0 <= v_min <= v_max < math.inf:
+        raise ConfigError(f"speed range [{v_min!r}, {v_max!r}] must have "
+                          f"0 <= vmin <= vmax < inf")
+    if not 0.0 < resolution < math.inf:
+        raise ConfigError(f"resolution {resolution!r} is not in (0, inf)")
 
     def stable(v0: float) -> bool:
         log = run_scenario(scn.with_speed(v0), controller=controller)

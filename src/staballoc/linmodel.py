@@ -1,19 +1,19 @@
-"""Allocation-oriented linear time-varying model and the exact factorization
-of its input matrix.
+"""Allocation-oriented linear model and the exact factorization of its
+input matrix.
 
 The 17-state control model drops the wheel-spin states: wheel torque is
 treated as a direct traction force T/R_w (quasi-static torque balance), so
-the input matrix has the nonzero sensitivities the allocator needs.  The
-input matrix B_u(t) factors as B_v * B_l * B_n(t), where B_n(t) carries all
-time dependence (normal loads and steering angles) on its diagonal and B_l
-is constant.  Moment-arm signs in B_y and B_l are taken from the yaw, roll
-and pitch equations of the plant, so the identity B_y(t) = B_l * B_n(t)
-holds exactly.
+the input matrix has the nonzero sensitivities the allocator needs.  A run
+uses four pieces of it: the state matrix A at straight cruising and the
+effort-to-state map B_v (both for the closed-loop stability check), the
+constant factor B_l, and the diagonal B_n(t), which carries all time
+dependence (normal loads and steering angles).  Moment-arm signs in B_l
+are taken from the yaw, roll and pitch equations of the plant, so the
+effort map B_y(t) = B_l * B_n(t) holds exactly.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -24,11 +24,6 @@ from .plant import chassis_derivative, normal_forces
 N_X = 17
 N_U = 12
 N_V = 5
-
-# rows of the control state corresponding to heave and unsprung elevations;
-# actuator sensitivities on these rows are zeroed so every input acts as a
-# pure force/moment generator on (Vx, Vy, r, phi, theta)
-ZEROED_ROWS = (3, 4, 9, 10, 11, 12, 13, 14, 15, 16)
 
 C_ALPHA_DEFAULT = 8.0  # per-unit-normal-force cornering gain [1/rad]
 
@@ -48,30 +43,18 @@ def reduced_derivative(x: Sequence[float], u: Sequence[float],
     T_i/R_w, with rolling resistance deliberately left unmodeled here (the
     closed loop treats it as a disturbance).  Lateral forces use the full
     tire curve at the slip angles implied by the state; the road is flat
-    and level with nominal friction.
+    with nominal friction.
     """
     f_x = [t / p.R_w for t in u[4:8]]
     normals = normal_forces((x[9], x[11], x[13], x[15]), ZERO4, p)
     return np.array(chassis_derivative(x, f_x, normals, u[0:4], u[8:12],
-                                       ZERO4, UNIT4, 0.0, p))
+                                       ZERO4, UNIT4, p))
 
 
-@dataclass(frozen=True)
-class LinearModel:
-    """x' = A x + B_u u + D around straight cruising.
-
-    A and D are held at the operating point; B_u is the input matrix at the
-    operating point with heave and unsprung rows zeroed.  D is the vector
-    field residual f(x0, 0), in deviation coordinates.
-    """
-    a: np.ndarray       # 17 x 17
-    b_u: np.ndarray     # 17 x 12
-    d: np.ndarray       # 17
-
-
-def linearize(p: VehicleParams, v0: float) -> LinearModel:
-    """Central-difference linearization of the control-oriented model at
-    straight driving with speed v0, zero steering and static normal loads."""
+def linearize(p: VehicleParams, v0: float) -> np.ndarray:
+    """State matrix A (17 x 17) of the control-oriented model, by central
+    differences at straight driving with speed v0, zero inputs and static
+    normal loads."""
     if v0 <= 0.0:
         raise ValueError("v0 must be positive")
     x0 = np.zeros(N_X)
@@ -87,20 +70,7 @@ def linearize(p: VehicleParams, v0: float) -> LinearModel:
         xm[j] -= h
         a[:, j] = (reduced_derivative(xp, u0, p)
                    - reduced_derivative(xm, u0, p)) / (2.0 * h)
-
-    b_u = np.zeros((N_X, N_U))
-    for j in range(N_U):
-        h = FD_STEP
-        up = u0.copy()
-        um = u0.copy()
-        up[j] += h
-        um[j] -= h
-        b_u[:, j] = (reduced_derivative(x0, up, p)
-                     - reduced_derivative(x0, um, p)) / (2.0 * h)
-    b_u[list(ZEROED_ROWS), :] = 0.0
-
-    d = reduced_derivative(x0, u0, p)
-    return LinearModel(a=a, b_u=b_u, d=d)
+    return a
 
 
 def build_bv(p: VehicleParams) -> np.ndarray:
@@ -156,9 +126,3 @@ def build_bn(steer: Sequence[float], normals: Sequence[float],
 def bn_is_invertible(bn_diag: np.ndarray) -> bool:
     """True when every diagonal entry of B_n is bounded away from zero."""
     return bool(np.min(np.abs(bn_diag)) > BN_EPS)
-
-
-def build_d(v0: float, p: VehicleParams) -> np.ndarray:
-    """Constant disturbance efforts at the linearization speed."""
-    q = 0.5 * v0 * v0 * p.rho * p.C_d * p.A_f
-    return np.array([q, 0.0, 0.0, -q, 0.0])

@@ -60,8 +60,6 @@ class VehicleParams:
 
     # derived quantities, filled in __post_init__
     L: float = field(init=False, repr=False, default=0.0)
-    gamma_f: float = field(init=False, repr=False, default=0.0)
-    gamma_r: float = field(init=False, repr=False, default=0.0)
     sin_gf: float = field(init=False, repr=False, default=0.0)
     cos_gf: float = field(init=False, repr=False, default=0.0)
     sin_gr: float = field(init=False, repr=False, default=0.0)
@@ -104,12 +102,12 @@ class VehicleParams:
         set_ = object.__setattr__
         set_(self, "L", self.a + self.b)
         # hub angles: half-track over axle distance, from the geometry
-        set_(self, "gamma_f", math.atan(self.w / (2.0 * self.a)))
-        set_(self, "gamma_r", math.atan(self.w / (2.0 * self.b)))
-        set_(self, "sin_gf", math.sin(self.gamma_f))
-        set_(self, "cos_gf", math.cos(self.gamma_f))
-        set_(self, "sin_gr", math.sin(self.gamma_r))
-        set_(self, "cos_gr", math.cos(self.gamma_r))
+        gamma_f = math.atan(self.w / (2.0 * self.a))
+        gamma_r = math.atan(self.w / (2.0 * self.b))
+        set_(self, "sin_gf", math.sin(gamma_f))
+        set_(self, "cos_gf", math.cos(gamma_f))
+        set_(self, "sin_gr", math.sin(gamma_r))
+        set_(self, "cos_gr", math.cos(gamma_r))
         # per-wheel static loads from the weight split over the wheelbase
         set_(self, "N_front_static", self.m * G * self.b / (2.0 * self.L))
         set_(self, "N_rear_static", self.m * G * self.a / (2.0 * self.L))

@@ -4,7 +4,8 @@ Degrees of freedom: body translation (Vx, Vy) and heave, body rotation
 (roll, pitch, yaw), four wheel spins and four unsprung elevations.  The
 vertical states are deviations from static equilibrium, so gravity does not
 appear explicitly and the static tire loads enter through a constant
-preload in :func:`normal_forces`.
+preload in :func:`normal_forces`.  The road is level: it has no grade, only
+elevation steps under the tires.
 
 Frame: x forward, y left, z up.  Pitch is positive nose-down, roll is
 positive left-side-up; yaw is positive counter-clockwise seen from above.
@@ -18,7 +19,6 @@ from math import atan, cos, sin
 from typing import List, Sequence, Tuple
 
 from .params import VehicleParams
-from .tires import _reg
 
 # actuator envelope, applied when PlantInputs is built
 STEER_LIMIT = math.radians(30.0)   # rad
@@ -26,6 +26,8 @@ TORQUE_LIMIT = 1500.0              # N m
 SUSPENSION_LIMIT = 5000.0          # N
 
 BLOW_UP_LIMIT = 1.0e6  # any |state entry| beyond this marks the run diverged
+
+V_EPS = 0.1  # m/s, slip denominator floor
 
 STATE_NAMES = (
     "Vx", "Vy", "r", "z", "zd", "phi", "phid", "theta", "thetad",
@@ -83,6 +85,14 @@ class PlantState:
         return cls(Vx=v0, w_fl=w, w_fr=w, w_rl=w, w_rr=w)
 
 
+def _reg(x: float) -> float:
+    """Sign-preserving denominator floor at V_EPS (zero maps to +V_EPS), so
+    slip and side slip stay finite at standstill and at locked wheels."""
+    if x >= 0.0:
+        return x if x > V_EPS else V_EPS
+    return x if x < -V_EPS else -V_EPS
+
+
 def clip(x: float, lim: float) -> float:
     """Clamp x to [-lim, lim]; NaN passes through, as with numpy.clip."""
     if x > lim:
@@ -109,7 +119,6 @@ class PlantInputs:
     torque: Tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
     f_z: Tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
     z_road: Tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
-    slope: float = 0.0
     lat_scale: Tuple[float, float, float, float] = (1.0, 1.0, 1.0, 1.0)
 
     def __post_init__(self) -> None:
@@ -145,7 +154,7 @@ def normal_forces(z_u: Sequence[float], z_road: Sequence[float],
 def chassis_derivative(x: Sequence[float], f_x: Sequence[float],
                        normals: Sequence[float], steer: Sequence[float],
                        f_z: Sequence[float], z_road: Sequence[float],
-                       lat_scale: Sequence[float], slope: float,
+                       lat_scale: Sequence[float],
                        p: VehicleParams) -> List[float]:
     """Derivatives of the 17 control-oriented states.
 
@@ -190,8 +199,7 @@ def chassis_derivative(x: Sequence[float], f_x: Sequence[float],
     cd, sd = cos(d3), sin(d3)
     fxb3, fyb3 = fx3 * cd - fy3 * sd, fy3 * cd + fx3 * sd
 
-    a_x = (sum((fxb0, fxb1, fxb2, fxb3)) - p.drag_k * v_x * v_x
-           - p.weight * sin(slope)) / m
+    a_x = (sum((fxb0, fxb1, fxb2, fxb3)) - p.drag_k * v_x * v_x) / m
     a_y = sum((fyb0, fyb1, fyb2, fyb3)) / m
     rdot = (hw * (fxb1 + fxb3 - fxb0 - fxb2) + a * (fyb0 + fyb1)
             - b * (fyb2 + fyb3)) / p.I_z
@@ -285,7 +293,7 @@ def state_derivative(x: Sequence[float], u: PlantInputs,
     wd3 = (t3 - n3 * rr * sgn - fx3 * R_w) / I_w
 
     out = chassis_derivative(x, (fx0, fx1, fx2, fx3), normals, u.steer,
-                             u.f_z, u.z_road, u.lat_scale, u.slope, p)
+                             u.f_z, u.z_road, u.lat_scale, p)
     cpsi, spsi = cos(psi), sin(psi)
     out += (wd0, wd1, wd2, wd3,
             v_x * cpsi - v_y * spsi,   # X'

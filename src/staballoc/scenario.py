@@ -26,16 +26,16 @@ breakpoint lists ``t:value`` separated by whitespace.
 ``[gains]`` and ``[allocator]`` sections set individual fields of
 :class:`Gains` and :class:`AllocatorConfig`; the rest keep their defaults.
 The parsed :class:`Scenario` is the whole description of a run: every
-number in the file must be finite, every event must fall before the
-horizon, no section or key may appear twice, and every setting is checked
-when the file is parsed (ConfigError).
+number in the file must be finite, every event must fire (no later than
+the start of the last step), no section or key may appear twice, and every
+setting is checked when the file is parsed (ConfigError).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .allocator import AllocatorConfig
 from .controllers import DriverInput, Gains, PiecewiseLinear
@@ -98,6 +98,17 @@ def check_step(dt: float, horizon: float) -> int:
     if n < 1 or abs(steps - n) > 1.0e-6:
         raise ConfigError(f"dt={dt!r} must divide the horizon {horizon!r}")
     return n
+
+
+def check_events(events: Sequence[Event], dt: float, n_steps: int) -> None:
+    """Raises ConfigError if an event would never fire: it fires at the
+    first step time k * dt >= its time, and the last step is k = n_steps - 1.
+    """
+    last = (n_steps - 1) * dt
+    latest = max((ev.time for ev in events), default=0.0)
+    if latest > last:
+        raise ConfigError(f"event at t={latest!r} would never fire: "
+                          f"the last step starts at t={last!r}")
 
 
 def _number(text: str, where: str) -> float:
@@ -207,7 +218,7 @@ def parse_scenario(text: str, name: Optional[str] = None) -> Scenario:
     controller = sc.get("controller", "proposed")
     if controller not in CONTROLLERS:
         raise ConfigError(f"unknown controller {controller!r}")
-    check_step(dt, horizon)
+    n_steps = check_step(dt, horizon)
     if v0 < 0.0:
         raise ConfigError("v0 must be non-negative")
 
@@ -220,9 +231,7 @@ def parse_scenario(text: str, name: Optional[str] = None) -> Scenario:
 
     if any(e1.time < e0.time for e0, e1 in zip(events, events[1:])):
         raise ConfigError("events must be listed in time order")
-    if events and events[-1].time >= horizon:
-        raise ConfigError(f"event at t={events[-1].time!r} would never fire: "
-                          f"it is not before the horizon {horizon!r}")
+    check_events(events, dt, n_steps)
 
     return Scenario(
         name=sc.get("name", name or "unnamed"),

@@ -24,8 +24,7 @@ IX_VY, IX_R, IX_PHI, IX_PHID, IX_THETA, IX_THETAD = 1, 2, 5, 6, 7, 8
 def closed_loop_matrix(g: Gains, v0: float, p: VehicleParams) -> np.ndarray:
     """Closed-loop matrix over the 17 plant states plus one state per
     active controller integrator."""
-    lm = linearize(p, v0)
-    a = lm.a
+    a = linearize(p, v0)
     b_v = build_bv(p)
     n = a.shape[0]
 

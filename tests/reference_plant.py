@@ -11,9 +11,8 @@ from __future__ import annotations
 import math
 from typing import Callable, List, Sequence, Tuple
 
-from staballoc.params import G, VehicleParams
-from staballoc.plant import PlantInputs, normal_forces
-from staballoc.tires import _reg
+from staballoc.params import VehicleParams
+from staballoc.plant import PlantInputs, _reg, normal_forces
 
 # ---------------------------------------------------------------------------
 # tire primitives
@@ -75,10 +74,11 @@ def wheel_frame_to_body(f_x: float, f_y: float, delta: float) -> Tuple[float, fl
 
 
 def body_accelerations(f_x_total: float, f_y_total: float, v_x: float,
-                       slope: float, p: VehicleParams) -> Tuple[float, float]:
-    """Inertial accelerations; the relative air speed is taken as Vx."""
+                       p: VehicleParams) -> Tuple[float, float]:
+    """Inertial accelerations on a level road; the relative air speed is
+    taken as Vx."""
     drag = 0.5 * p.C_d * p.rho * p.A_f * v_x * v_x
-    a_x = (f_x_total - drag - p.m * G * math.sin(slope)) / p.m
+    a_x = (f_x_total - drag) / p.m
     a_y = f_y_total / p.m
     return a_x, a_y
 
@@ -172,7 +172,7 @@ def vertical_derivatives(state: Sequence[float], f_z: Sequence[float],
 def chassis_derivative(x: Sequence[float], f_x: Sequence[float],
                        steer: Sequence[float], f_z: Sequence[float],
                        z_road: Sequence[float], lat_scale: Sequence[float],
-                       slope: float, p: VehicleParams) -> List[float]:
+                       p: VehicleParams) -> List[float]:
     """Derivatives of the 17 control-oriented states.
 
     The tire-frame longitudinal forces f_x are given; the lateral forces
@@ -189,7 +189,7 @@ def chassis_derivative(x: Sequence[float], f_x: Sequence[float],
                             p.mu * normals[i] * lat_scale[i])
         fx_body[i], fy_body[i] = wheel_frame_to_body(f_x[i], f_y, steer[i])
 
-    a_x, a_y = body_accelerations(sum(fx_body), sum(fy_body), v_x, slope, p)
+    a_x, a_y = body_accelerations(sum(fx_body), sum(fy_body), v_x, p)
     rdot = yaw_acceleration(fx_body, fy_body, p)
 
     zdd, thetadd, phidd, zudd_fl, zudd_fr, zudd_rl, zudd_rr = \
@@ -225,7 +225,7 @@ def state_derivative(x: Sequence[float], u: PlantInputs,
             f_x[i], p)
 
     out = chassis_derivative(x, f_x, u.steer, u.f_z, u.z_road, u.lat_scale,
-                             u.slope, p)
+                             p)
     psi = x[23]
     cpsi = math.cos(psi)
     spsi = math.sin(psi)

@@ -4,11 +4,13 @@ through module-scoped fixtures; run with -s (or read the captured output)
 to see the per-criterion lines.
 """
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from effort_map import build_by
+import golden
+from effort_map import build_by, lyapunov_value, theta_star
 from staballoc.allocator import AdaptiveAllocator, AllocatorConfig, \
     solve_lyapunov
 from staballoc.cli import FIGURE_PAIRS
@@ -106,13 +108,13 @@ def test_criterion_4_allocation_convergence():
     for _ in range(3):
         lam = rng.uniform(0.1, 1.0, 12)
         alloc = AdaptiveAllocator(b_l, AllocatorConfig())
-        th_star = alloc.theta_star(lam)
+        th_star = theta_star(alloc, lam)
         realized = np.zeros(5)
-        prev = alloc.lyapunov_value(lam, th_star)
+        prev = lyapunov_value(alloc, lam, th_star)
         for _ in range(2000):
             res = alloc.step(v, realized, b_n, dt)
             realized = b_l @ (lam * res.u_bar)
-            val = alloc.lyapunov_value(lam, th_star)
+            val = lyapunov_value(alloc, lam, th_star)
             worst_increase = max(worst_increase, val - prev)
             prev = val
         resid = float(np.linalg.norm(realized - v) / np.linalg.norm(v))
@@ -202,7 +204,7 @@ def test_criterion_9_numerical_hygiene(runs, scenario_dir, tmp_path):
     order_ok = all(3.5 <= o <= 4.5 for o in orders)
 
     # central-difference linearization: local error is second order
-    lm = linearize(P, 20.0)
+    a = linearize(P, 20.0)
     x_op = np.zeros(17)
     x_op[0] = 20.0
     u0 = np.zeros(12)
@@ -214,7 +216,7 @@ def test_criterion_9_numerical_hygiene(runs, scenario_dir, tmp_path):
     def lin_err(scale):
         dx = scale * direction
         return float(np.linalg.norm(reduced_derivative(x_op + dx, u0, P)
-                                    - f0 - lm.a @ dx))
+                                    - f0 - a @ dx))
 
     ratio = lin_err(1e-2) / lin_err(5e-3)
     fd_ok = 2.5 <= ratio <= 6.0
@@ -233,3 +235,15 @@ def test_criterion_9_numerical_hygiene(runs, scenario_dir, tmp_path):
            f"linearization error ratio {ratio:.2f} (second order); "
            f"repeated-run CSV byte-identical={csv_ok}")
     assert ok
+
+
+def test_golden_outputs(runs, tmp_path):
+    # the bytes of the ten `staballoc figures` CSVs, their metrics and the
+    # stability verdict against tests/golden/figures.sha256
+    expected = golden.read()
+    failures, notes = golden.compare(expected, golden.observe(runs, tmp_path))
+    if notes:
+        warnings.warn(f"golden outputs were made on {expected.tag}, this is "
+                      f"{golden.tag()}; metrics agree to 1e-9, but "
+                      + "; ".join(notes))
+    assert not failures, failures

@@ -7,17 +7,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from staballoc.allocator import measured_net
+from staballoc import harness
+from staballoc.allocator import AdaptiveAllocator, AllocatorConfig, \
+    measured_net
 from staballoc.cli import main as cli_main
-from staballoc.controllers import Gains
-from staballoc.harness import (apply_faults, friction_scale, measure,
-                               road_elevation, run_scenario,
+from staballoc.controllers import ControllerState, Gains
+from staballoc.harness import (_Loop, apply_faults, clip_u, friction_scale,
+                               measure, road_elevation, run_scenario,
                                sweep_max_speed)
+from staballoc.linmodel import build_bl, build_bn
 from staballoc.logio import CSV_COLUMNS, RunLog
 from staballoc.metrics import compute_metrics
-from staballoc.params import G, VehicleParams
+from staballoc.params import VehicleParams
 from staballoc.plant import PlantInputs, PlantState, step_rk4
-from staballoc.scenario import ConfigError, Event, parse_scenario
+from staballoc.scenario import (ConfigError, Event, load_scenario,
+                                parse_scenario)
 from staballoc.stability import max_closed_loop_eig
 
 SHORT = """
@@ -94,23 +98,48 @@ class TestMeasurements:
         meas = measure(PlantState(), PlantInputs(), params)
         assert meas["N_fl"] == pytest.approx(params.N_front_static)
 
-    def test_traction_step_on_grade_recovers_torque_force(self):
-        # drag-free, rolling-resistance-free vehicle on a grade chosen so
-        # four 200 N m torques exactly hold the speed: at the quasi-steady
-        # point the reconstructed longitudinal effort equals sum(T)/R_w
+    def test_traction_step_on_level_road_recovers_torque_force(self):
+        # drag-free, rolling-resistance-free vehicle driven by four 200 N m
+        # torques on a level road: at the quasi-steady point the wheels
+        # spin up with the body, so the reconstructed longitudinal effort
+        # is sum(T)/R_w less the share that accelerates the wheel inertia
         p = VehicleParams(C_d=1e-12, p0=0.0, p1=0.0, p2=0.0)
         torque = 200.0
         total = 4.0 * torque / p.R_w
-        slope = math.asin(total / p.weight)
-        u = PlantInputs(torque=(torque,) * 4, slope=slope)
+        u = PlantInputs(torque=(torque,) * 4)
         s = PlantState.cruising(15.0, p)
         for _ in range(1000):
             s = step_rk4(s, u, p, 1e-3)
         meas = measure(s, u, p)
         net = measured_net(meas["ax"], meas["ay"], meas["yaw_acc"],
                            meas["roll_acc"], meas["pitch_acc"],
-                           meas["Vx"], p, slope=slope)
-        assert net[0] == pytest.approx(total, rel=0.02)
+                           meas["Vx"], p)
+        expected = total * p.m / (p.m + 4.0 * p.I_w / p.R_w ** 2)
+        assert net[0] == pytest.approx(expected, rel=0.02)
+
+
+class TestDriverSteer:
+    def test_driver_steer_added_to_front_channels(self, params):
+        # the proposed command is the allocator's output with the driver's
+        # steer added on the two front steering channels only
+        b_l = build_bl(params)
+        meas = measure(PlantState.cruising(20.0, params), PlantInputs(),
+                       params)
+        loop = _Loop(mode="proposed", gains=Gains(), cs=ControllerState(),
+                     allocator=AdaptiveAllocator(b_l, AllocatorConfig()))
+        u, v, _, _ = loop.command(0.02, 0.0, meas, 1e-3, params)
+
+        twin = AdaptiveAllocator(b_l, AllocatorConfig())
+        normals = (meas["N_fl"], meas["N_fr"], meas["N_rl"], meas["N_rr"])
+        realized = measured_net(meas["ax"], meas["ay"], meas["yaw_acc"],
+                                meas["roll_acc"], meas["pitch_acc"],
+                                meas["Vx"], params)
+        res = twin.step(v, realized, build_bn((0.0,) * 4, normals, params),
+                        1e-3)
+        allocated = clip_u(res.u.tolist())
+        assert u[0] == res.u[0] + 0.02
+        assert u[1] == res.u[1] + 0.02
+        assert u[2:] == allocated[2:]
 
 
 class TestRunScenario:
@@ -235,20 +264,34 @@ class TestMetrics:
 class TestSweep:
     def test_degenerate_range_returns_endpoint_when_stable(self):
         scn = parse_scenario(SHORT)
-        assert sweep_max_speed(scn, "baseline", 5.0, 5.0) == 5.0
+        assert sweep_max_speed(scn, "baseline", 5.0, 5.0,
+                               resolution=0.25) == 5.0
 
     def test_empty_range_rejected(self):
         scn = parse_scenario(SHORT)
         with pytest.raises(ValueError):
-            sweep_max_speed(scn, "baseline", 10.0, 5.0)
+            sweep_max_speed(scn, "baseline", 10.0, 5.0, resolution=0.25)
+
+    @pytest.mark.parametrize("v_min, v_max", [
+        (10.0, math.inf), (-5.0, -5.0), (-1.0, 5.0), (-math.inf, 5.0),
+        (math.nan, 5.0), (5.0, math.nan)])
+    def test_unsearchable_range_rejected_before_any_run(self, monkeypatch,
+                                                        v_min, v_max):
+        # an infinite top never ends the bisection, and a negative speed
+        # runs a reversing car; neither may reach a run
+        def no_run(*args, **kwargs):
+            raise AssertionError("the sweep ran a scenario")
+        monkeypatch.setattr(harness, "run_scenario", no_run)
+        with pytest.raises(ConfigError, match="speed range"):
+            sweep_max_speed(parse_scenario(SHORT), "baseline", v_min, v_max,
+                            resolution=0.25)
 
 
 class TestStabilityCheck:
     def test_reference_dynamics_scale(self, params):
         # the allocator reference matrix is -10 I by default
-        from staballoc.allocator import AdaptiveAllocator
-        from staballoc.linmodel import build_bl
-        eigs = np.linalg.eigvals(AdaptiveAllocator(build_bl(params)).a_m)
+        eigs = np.linalg.eigvals(
+            AdaptiveAllocator(build_bl(params), AllocatorConfig()).a_m)
         assert np.max(eigs.real) == pytest.approx(-10.0)
 
     def test_default_gains_stable_at_both_speeds(self, params):
@@ -348,13 +391,34 @@ class TestCli:
 
     @pytest.mark.parametrize("argv", [
         ["--vmin", "10", "--vmax", "5"],
-        ["--vmin", "5", "--vmax", "10", "--resolution", "0"]])
-    def test_bad_sweep_range_is_config_error(self, tmp_path, argv, capsys):
+        ["--vmin", "5", "--vmax", "10", "--resolution", "0"],
+        ["--vmin", "5", "--vmax", "10", "--resolution", "inf"],
+        ["--vmin", "10", "--vmax", "inf"], ["--vmin", "-5", "--vmax", "-5"]])
+    def test_bad_sweep_range_is_config_error(self, tmp_path, argv, capsys,
+                                             monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the sweep ran a scenario")
+        monkeypatch.setattr(harness, "run_scenario", no_run)
         scn_file = tmp_path / "short.scn"
         scn_file.write_text(SHORT)
         assert cli_main(["sweep", str(scn_file), "--controller",
                          "baseline", *argv]) == 3
         assert "configuration error" in capsys.readouterr().err
+
+    def test_dt_that_leaves_an_event_unfired_is_config_error(self, tmp_path,
+                                                            capsys):
+        # the last step starts at 0.999 s at the file's dt, so the event at
+        # 0.9985 s fires; at --dt 0.002 the last step starts at 0.998 s
+        scn_file = tmp_path / "late.scn"
+        scn_file.write_text("[scenario]\nname = late\nv0 = 13\n"
+                            "horizon = 1.0\ndt = 0.001\n"
+                            "[events]\n0.9985 friction all 0.5\n")
+        assert load_scenario(scn_file).events[-1].time == 0.9985
+        out = tmp_path / "out"
+        assert cli_main(["run", str(scn_file), "--dt", "0.002",
+                         "--out", str(out)]) == 3
+        assert "never fire" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_positive_stability_speed_is_config_error(self, capsys):
         assert cli_main(["stability", "--v0", "0"]) == 3

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from effort_map import build_by
-from staballoc.linmodel import (ZEROED_ROWS, bn_is_invertible, build_bl,
-                                build_bn, build_bv, build_d, linearize,
-                                reduced_derivative)
+from effort_map import ZEROED_ROWS, build_by, build_d, linear_model
+from staballoc.linmodel import (bn_is_invertible, build_bl, build_bn,
+                                build_bv, linearize, reduced_derivative)
 from staballoc.plant import PlantInputs, PlantState, state_derivative
 
 STATIC_STEER = (0.0, 0.0, 0.0, 0.0)
@@ -52,14 +51,14 @@ class TestLinearize:
 
     def test_torque_sensitivity_of_speed(self, params):
         # analytic partial: traction T/R_w acting on the mass
-        lm = linearize(params, 20.0)
+        lm = linear_model(params, 20.0)
         expected = 1.0 / (params.m * params.R_w)
         assert expected == pytest.approx(2.331e-3, abs=1e-6)
         for col in (4, 5, 6, 7):
             assert lm.b_u[0, col] == pytest.approx(expected, rel=1e-5)
 
     def test_disturbance_is_drag_and_its_pitch_moment(self, params):
-        lm = linearize(params, 20.0)
+        lm = linear_model(params, 20.0)
         drag = 0.5 * 20.0 ** 2 * params.rho * params.C_d * params.A_f
         assert drag == pytest.approx(161.7, abs=0.01)
         assert lm.d[0] == pytest.approx(-drag / params.m, rel=1e-6)
@@ -70,20 +69,20 @@ class TestLinearize:
         assert np.max(np.abs(np.delete(lm.d, [0, 8]))) < 1e-9
 
     def test_heave_stiffness_entry(self, params):
-        lm = linearize(params, 20.0)
+        lm = linear_model(params, 20.0)
         expected = -(2 * params.k_sf + 2 * params.k_sr) / params.m
         assert lm.a[4, 3] == pytest.approx(expected, rel=1e-5)
         assert lm.a[4, 3] < 0.0
 
     def test_heave_and_unsprung_rows_zeroed(self, params):
-        lm = linearize(params, 15.0)
+        lm = linear_model(params, 15.0)
         for row in ZEROED_ROWS:
             assert np.all(lm.b_u[row, :] == 0.0)
         nonzero = sorted(set(range(17)) - set(ZEROED_ROWS) - {5, 7})
         assert nonzero == [0, 1, 2, 6, 8]
 
     def test_local_linearization_error_is_second_order(self, params):
-        lm = linearize(params, 20.0)
+        lm = linear_model(params, 20.0)
         x0 = np.zeros(17)
         x0[0] = 20.0
         u0 = np.zeros(12)

@@ -11,9 +11,8 @@ from reference_plant import (body_accelerations, longitudinal_slip,
                              yaw_acceleration)
 from staballoc.linmodel import reduced_derivative
 from staballoc.params import G, VehicleParams
-from staballoc.plant import (STATE_NAMES, PlantInputs, PlantState,
+from staballoc.plant import (STATE_NAMES, V_EPS, PlantInputs, PlantState,
                              normal_forces, state_derivative, step_rk4)
-from staballoc.tires import V_EPS
 
 ZERO4 = (0.0, 0.0, 0.0, 0.0)
 
@@ -95,7 +94,7 @@ class TestPointwiseDynamics:
         assert d[0] == pytest.approx(-drag / 1300.0)
 
     def test_body_acceleration_ratio(self, params):
-        a_x, a_y = body_accelerations(0.0, 1300.0, 0.0, 0.0, params)
+        a_x, a_y = body_accelerations(0.0, 1300.0, 0.0, params)
         assert a_y == pytest.approx(1.0)
         assert a_x == 0.0
 
@@ -337,7 +336,6 @@ def kernel_cases(draw):
         torque=tuple(draw(signed(1600.0)) for _ in range(4)),
         f_z=tuple(draw(signed(5500.0)) for _ in range(4)),
         z_road=z_road,
-        slope=draw(st.one_of(st.just(0.0), signed(0.3))),
         lat_scale=tuple(draw(st.one_of(st.just(1.0), st.floats(0.05, 1.0)))
                         for _ in range(4)))
     return p, x, u
@@ -358,7 +356,7 @@ class TestKernel:
         cmd = [*u.steer, *u.torque, *u.f_z]
         expected = ref.chassis_derivative(
             x[:17], [t / p.R_w for t in u.torque], u.steer, u.f_z,
-            (0.0, 0.0, 0.0, 0.0), (1.0, 1.0, 1.0, 1.0), 0.0, p)
+            (0.0, 0.0, 0.0, 0.0), (1.0, 1.0, 1.0, 1.0), p)
         assert hexes(reduced_derivative(x[:17], cmd, p)) == hexes(expected)
 
     def test_seeded_random_states_match_reference(self):
@@ -384,14 +382,13 @@ class TestKernel:
             x = [rng.uniform(-s, s) for s in scales]
             u = PlantInputs(steer=draw(0.6), torque=draw(1500.0),
                             f_z=draw(5000.0), z_road=draw(0.03),
-                            slope=rng.uniform(-0.3, 0.3),
                             lat_scale=tuple(rng.uniform(0.05, 1.0)
                                             for _ in range(4)))
             assert hexes(state_derivative(x, u, p)) == \
                 hexes(ref.state_derivative(x, u, p)), k
             expected = ref.chassis_derivative(
                 x[:17], [t / p.R_w for t in u.torque], u.steer, u.f_z,
-                (0.0, 0.0, 0.0, 0.0), (1.0, 1.0, 1.0, 1.0), 0.0, p)
+                (0.0, 0.0, 0.0, 0.0), (1.0, 1.0, 1.0, 1.0), p)
             cmd = [*u.steer, *u.torque, *u.f_z]
             assert hexes(reduced_derivative(x[:17], cmd, p)) == \
                 hexes(expected), k

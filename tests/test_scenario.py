@@ -147,7 +147,8 @@ class TestValidation:
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 HORIZON = 1.0
-TIMES = st.floats(0.0, HORIZON, exclude_max=True)   # events fire in [0, T)
+DT = 0.001
+TIMES = st.floats(0.0, HORIZON - DT)   # events fire up to the last step
 UNIT = st.floats(0.0, 1.0, exclude_min=True)
 GAIN_FIELDS = tuple(Gains.__dataclass_fields__)
 ALLOCATOR_FIELDS = tuple(AllocatorConfig.__dataclass_fields__)
@@ -190,7 +191,7 @@ def scenarios(draw):
     """A valid scenario as lines of text pieces and numbers."""
     evs = sorted(draw(st.lists(events(), max_size=6)), key=lambda e: e.time)
     lines = [["[scenario]"], ["v0 =", draw(st.floats(0.0, 100.0))],
-             ["horizon =", HORIZON], ["dt =", 0.001], ["[driver]"]]
+             ["horizon =", HORIZON], ["dt =", DT], ["[driver]"]]
     for channel in ("steer", "pedal", "brake"):
         lines.append([f"{channel} =", *draw(profiles())])
     lines.append(["[events]"])
@@ -273,6 +274,13 @@ class TestEventHorizon:
     def test_event_at_or_past_horizon_rejected(self, time):
         text = ("[scenario]\nv0 = 10\nhorizon = 1\ndt = 0.001\n"
                 f"[events]\n0.5 friction all 0.9\n{time} friction all 0.5\n")
+        with pytest.raises(ConfigError, match="never fire"):
+            parse_scenario(text)
+
+    def test_event_after_the_last_step_rejected(self):
+        # the last step of 1 s at 1 ms starts at 0.999 s
+        text = ("[scenario]\nv0 = 10\nhorizon = 1\ndt = 0.001\n"
+                "[events]\n0.9995 friction all 0.5\n")
         with pytest.raises(ConfigError, match="never fire"):
             parse_scenario(text)
 
