@@ -33,8 +33,8 @@ from .params import VehicleParams
 from .plant import (PlantInputs, PlantState, STEER_LIMIT, SUSPENSION_LIMIT,
                     TORQUE_LIMIT, _reg, clip, normal_forces, state_derivative,
                     step_rk4)
-from .scenario import (ACTUATOR_NAMES, CONTROLLERS, TIRE_SETS, ConfigError,
-                       Event, Scenario, check_events, check_step)
+from .scenario import (CONTROLLERS, ConfigError, Event, Events, Scenario,
+                       check_events, check_step)
 
 BETA_LIMIT = math.radians(15.0)  # a sweep run survives below this max|beta|
 
@@ -48,34 +48,24 @@ def clip_u(u: Sequence[float]) -> List[float]:
 
 def apply_faults(u_commanded: np.ndarray, events: Sequence[Event],
                  t: float) -> np.ndarray:
-    """Element-wise effectiveness scaling of the active fault events."""
+    """Element-wise effectiveness scaling of the active fault events, one
+    factor at a time in event order."""
     u = np.array(u_commanded, dtype=float)
-    for ev in events:
-        if ev.kind == "effectiveness" and t >= ev.time:
-            u[ACTUATOR_NAMES.index(ev.target)] *= ev.factor
+    for i, factor in Events(events).faults_at(t):
+        u[i] *= factor
     return u
 
 
 def friction_scale(events: Sequence[Event], t: float,
                    ) -> Tuple[float, float, float, float]:
     """Per-tire lateral friction multipliers from the active events."""
-    scale = [1.0, 1.0, 1.0, 1.0]
-    for ev in events:
-        if ev.kind == "friction" and t >= ev.time:
-            for i in TIRE_SETS[ev.target]:
-                scale[i] *= ev.factor
-    return tuple(scale)
+    return Events(events).at("friction", t)
 
 
 def road_elevation(events: Sequence[Event], t: float,
                    ) -> Tuple[float, float, float, float]:
     """Road elevation steps [m] accumulated from the active events."""
-    z = [0.0, 0.0, 0.0, 0.0]
-    for ev in events:
-        if ev.kind == "elevation" and t >= ev.time:
-            for i in TIRE_SETS[ev.target]:
-                z[i] += ev.factor
-    return tuple(z)
+    return Events(events).at("elevation", t)
 
 
 def measure(state: PlantState, prev_inputs: PlantInputs,

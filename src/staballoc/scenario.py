@@ -28,14 +28,17 @@ breakpoint lists ``t:value`` separated by whitespace.
 The parsed :class:`Scenario` is the whole description of a run: every
 number in the file must be finite, every event must fire (no later than
 the start of the last step), no section or key may appear twice, and every
-setting is checked when the file is parsed (ConfigError).
+setting is checked when the file is parsed (ConfigError).  Events must be
+listed in time order; that rule holds for every :class:`Scenario`, however
+it is built, because its events are compiled into :class:`Events`.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .allocator import AllocatorConfig
 from .controllers import DriverInput, Gains, PiecewiseLinear
@@ -67,6 +70,64 @@ class Event:
     factor: float
 
 
+class Events(tuple):
+    """Time-sorted events, compiled once into piecewise-constant tables.
+
+    The events active at t are those with time <= t, a prefix of the
+    sorted tuple, so each lookup is one bisect on a kind's breakpoint
+    times.  The tables keep the order of the event-by-event scan: friction
+    multipliers are the in-order product per tire, elevations the
+    left-to-right sum, and faults stay separate (actuator, factor) pairs,
+    because u*f1*f2 is not u*(f1*f2).  Raises ConfigError for events out
+    of time order, a non-finite time, or an unknown kind or target.
+    Compiled events pass through unchanged.
+    """
+
+    def __new__(cls, events: Sequence[Event] = ()) -> "Events":
+        if isinstance(events, Events):
+            return events
+        self = super().__new__(cls, events)
+        times = [ev.time for ev in self]
+        if not all(math.isfinite(x) for x in times):
+            raise ConfigError("event times must be finite")
+        if any(t1 < t0 for t0, t1 in zip(times, times[1:])):
+            raise ConfigError("events must be listed in time order")
+        self._fault_times, self._faults = [], []
+        self._tables = {"friction": ([], [(1.0, 1.0, 1.0, 1.0)]),
+                        "elevation": ([], [(0.0, 0.0, 0.0, 0.0)])}
+        for ev in self:
+            if ev.kind == "effectiveness":
+                if ev.target not in ACTUATOR_NAMES:
+                    raise ConfigError(f"unknown actuator {ev.target!r}")
+                self._fault_times.append(ev.time)
+                self._faults.append((ACTUATOR_NAMES.index(ev.target),
+                                     ev.factor))
+                continue
+            if ev.kind not in self._tables:
+                raise ConfigError(f"unknown event kind {ev.kind!r}")
+            if ev.target not in TIRE_SETS:
+                raise ConfigError(f"unknown tire set {ev.target!r}")
+            breaks, values = self._tables[ev.kind]
+            value = list(values[-1])
+            for i in TIRE_SETS[ev.target]:
+                if ev.kind == "friction":
+                    value[i] *= ev.factor
+                else:
+                    value[i] += ev.factor
+            breaks.append(ev.time)
+            values.append(tuple(value))
+        return self
+
+    def faults_at(self, t: float) -> List[Tuple[int, float]]:
+        """(actuator index, factor) of the active faults, in event order."""
+        return self._faults[:bisect_right(self._fault_times, t)]
+
+    def at(self, kind: str, t: float) -> Tuple[float, float, float, float]:
+        """Per-tire friction multipliers or elevations active at t."""
+        breaks, values = self._tables[kind]
+        return values[bisect_right(breaks, t)]
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One run: vehicle start, driver, events and controller settings."""
@@ -79,6 +140,9 @@ class Scenario:
     events: Tuple[Event, ...] = ()
     gains: Gains = field(default_factory=Gains)
     allocator: AllocatorConfig = field(default_factory=AllocatorConfig)
+
+    def __post_init__(self):
+        object.__setattr__(self, "events", Events(self.events))
 
     def with_speed(self, v0: float) -> "Scenario":
         return replace(self, v0=v0)
@@ -229,8 +293,6 @@ def parse_scenario(text: str, name: Optional[str] = None) -> Scenario:
         brake=_parse_profile(drv.get("brake", "0:0"), "brake"),
     )
 
-    if any(e1.time < e0.time for e0, e1 in zip(events, events[1:])):
-        raise ConfigError("events must be listed in time order")
     check_events(events, dt, n_steps)
 
     return Scenario(
