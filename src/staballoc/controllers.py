@@ -22,15 +22,16 @@ from .plant import STEER_LIMIT, clip
 
 @dataclass(frozen=True)
 class PiecewiseLinear:
-    """Piecewise-linear time profile; constant extrapolation past the ends."""
+    """Piecewise-linear time profile over time-sorted breakpoints (at least
+    one; ConfigError otherwise); constant extrapolation past the ends."""
     points: Tuple[Tuple[float, float], ...]
 
     def __post_init__(self) -> None:
         if not self.points:
-            raise ValueError("profile needs at least one breakpoint")
+            raise ConfigError("profile needs at least one breakpoint")
         ts = [t for t, _ in self.points]
         if any(t1 < t0 for t0, t1 in zip(ts, ts[1:])):
-            raise ValueError("breakpoints must be time-sorted")
+            raise ConfigError(f"breakpoint times {ts} must be sorted")
 
     def __call__(self, t: float) -> float:
         pts = self.points

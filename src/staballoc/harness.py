@@ -17,10 +17,8 @@ Controllers:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .allocator import AdaptiveAllocator, measured_net
 from .controllers import (ControllerState, Gains, baseline_rear_steer,
@@ -33,8 +31,8 @@ from .params import VehicleParams
 from .plant import (PlantInputs, PlantState, STEER_LIMIT, SUSPENSION_LIMIT,
                     TORQUE_LIMIT, _reg, clip, normal_forces, state_derivative,
                     step_rk4)
-from .scenario import (CONTROLLERS, ConfigError, Event, Events, Scenario,
-                       check_events, check_step)
+from .scenario import (ConfigError, Event, Events, Scenario, check_events,
+                       check_step)
 
 BETA_LIMIT = math.radians(15.0)  # a sweep run survives below this max|beta|
 
@@ -46,11 +44,11 @@ def clip_u(u: Sequence[float]) -> List[float]:
     return [clip(x, lim) for x, lim in zip(u, U_LIMITS)]
 
 
-def apply_faults(u_commanded: np.ndarray, events: Sequence[Event],
-                 t: float) -> np.ndarray:
-    """Element-wise effectiveness scaling of the active fault events, one
-    factor at a time in event order."""
-    u = np.array(u_commanded, dtype=float)
+def apply_faults(u_commanded: Sequence[float], events: Sequence[Event],
+                 t: float) -> List[float]:
+    """A copy of the command list scaled element-wise by the active fault
+    events, one factor at a time in event order."""
+    u = list(u_commanded)
     for i, factor in Events(events).faults_at(t):
         u[i] *= factor
     return u
@@ -144,19 +142,19 @@ def run_scenario(scn: Scenario, controller: Optional[str] = None,
     """Simulate one scenario on the stock vehicle and return the per-step log.
 
     The scenario carries every setting of the run; controller and dt, when
-    given, replace its controller and step.  The run stops early with a
-    partial log when the plant diverges.  A dt that is not positive, does
-    not divide the horizon or, replacing the parsed one, leaves an event
-    after the last step raises ConfigError before any step.
+    given, replace its controller and step through dataclasses.replace, so
+    the Scenario rules hold for them too.  A dt that replaces the
+    scenario's must also leave no event after the last step.  Any of these
+    raises ConfigError before any step.  The run stops early with a
+    partial log when the plant diverges.
     """
-    dt = scn.dt if dt is None else dt
+    run = replace(scn, controller=controller or scn.controller,
+                  dt=scn.dt if dt is None else dt)
+    if run.dt != scn.dt:
+        check_events(run)
+    scn, dt, mode = run, run.dt, run.controller
     n_steps = check_step(dt, scn.horizon)
-    if dt != scn.dt:
-        check_events(scn.events, dt, n_steps)
     p = VehicleParams()
-    mode = controller or scn.controller
-    if mode not in CONTROLLERS:
-        raise ConfigError(f"unknown controller {mode!r}")
 
     allocator = None
     if mode in ("proposed", "hybrid"):
@@ -177,7 +175,7 @@ def run_scenario(scn: Scenario, controller: Optional[str] = None,
         delta_in = scn.driver.steer_at(t)
         f_ref = scn.driver.force_ref(t)
         u_cmd, v, r_ref, resid = loop.command(delta_in, f_ref, meas, dt, p)
-        u_eff = apply_faults(u_cmd, scn.events, t).tolist()
+        u_eff = apply_faults(u_cmd, scn.events, t)
         inputs = PlantInputs.from_u(
             u_eff,
             lat_scale=friction_scale(scn.events, t),

@@ -25,12 +25,11 @@ breakpoint lists ``t:value`` separated by whitespace.
 
 ``[gains]`` and ``[allocator]`` sections set individual fields of
 :class:`Gains` and :class:`AllocatorConfig`; the rest keep their defaults.
-The parsed :class:`Scenario` is the whole description of a run: every
-number in the file must be finite, every event must fire (no later than
-the start of the last step), no section or key may appear twice, and every
-setting is checked when the file is parsed (ConfigError).  Events must be
-listed in time order; that rule holds for every :class:`Scenario`, however
-it is built, because its events are compiled into :class:`Events`.
+Every value rule lives in the object it constrains (:class:`Event`,
+:class:`Events`, :class:`Scenario`, the settings and profiles), so it holds
+however a Scenario is built.  The parser adds only the rules of the text:
+no repeated section or key, every number finite, and every event fires (no
+later than the start of the last step).  All raise ConfigError.
 """
 from __future__ import annotations
 
@@ -46,8 +45,6 @@ from .params import ConfigError
 
 CONTROLLERS = ("proposed", "baseline", "hybrid")
 
-EVENT_KINDS = ("effectiveness", "friction", "elevation")
-
 ACTUATOR_NAMES = ("d_fl", "d_fr", "d_rl", "d_rr",
                   "T_fl", "T_fr", "T_rl", "T_rr",
                   "fz_fl", "fz_fr", "fz_rl", "fz_rr")
@@ -59,15 +56,35 @@ TIRE_SETS = {
     "all": (0, 1, 2, 3),
 }
 
+EVENT_TARGETS = {"effectiveness": ACTUATOR_NAMES, "friction": TIRE_SETS,
+                 "elevation": TIRE_SETS}
+
 
 @dataclass(frozen=True)
 class Event:
     """A timed change: actuator effectiveness, lateral friction, or a road
-    elevation step, applied from `time` onward."""
+    elevation step [m], applied from `time` onward.  ConfigError unless
+    0 <= time < inf, the target suits the kind, and the factor is in (0, 1]
+    (finite for an elevation)."""
     time: float
     kind: str
     target: str
     factor: float
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.time < math.inf:
+            raise ConfigError(f"event time {self.time!r} must be finite "
+                              f"and non-negative")
+        if self.kind not in EVENT_TARGETS:
+            raise ConfigError(f"unknown event kind {self.kind!r}")
+        if self.target not in EVENT_TARGETS[self.kind]:
+            raise ConfigError(f"unknown {self.kind} target {self.target!r}")
+        if self.kind == "elevation":
+            if not math.isfinite(self.factor):
+                raise ConfigError(f"elevation {self.factor!r} is not finite")
+        elif not 0.0 < self.factor <= 1.0:
+            raise ConfigError(f"{self.kind} factor {self.factor!r} must be "
+                              f"in (0, 1]")
 
 
 class Events(tuple):
@@ -79,8 +96,7 @@ class Events(tuple):
     multipliers are the in-order product per tire, elevations the
     left-to-right sum, and faults stay separate (actuator, factor) pairs,
     because u*f1*f2 is not u*(f1*f2).  Raises ConfigError for events out
-    of time order, a non-finite time, or an unknown kind or target.
-    Compiled events pass through unchanged.
+    of time order.  Compiled events pass through unchanged.
     """
 
     def __new__(cls, events: Sequence[Event] = ()) -> "Events":
@@ -88,8 +104,6 @@ class Events(tuple):
             return events
         self = super().__new__(cls, events)
         times = [ev.time for ev in self]
-        if not all(math.isfinite(x) for x in times):
-            raise ConfigError("event times must be finite")
         if any(t1 < t0 for t0, t1 in zip(times, times[1:])):
             raise ConfigError("events must be listed in time order")
         self._fault_times, self._faults = [], []
@@ -97,16 +111,10 @@ class Events(tuple):
                         "elevation": ([], [(0.0, 0.0, 0.0, 0.0)])}
         for ev in self:
             if ev.kind == "effectiveness":
-                if ev.target not in ACTUATOR_NAMES:
-                    raise ConfigError(f"unknown actuator {ev.target!r}")
                 self._fault_times.append(ev.time)
                 self._faults.append((ACTUATOR_NAMES.index(ev.target),
                                      ev.factor))
                 continue
-            if ev.kind not in self._tables:
-                raise ConfigError(f"unknown event kind {ev.kind!r}")
-            if ev.target not in TIRE_SETS:
-                raise ConfigError(f"unknown tire set {ev.target!r}")
             breaks, values = self._tables[ev.kind]
             value = list(values[-1])
             for i in TIRE_SETS[ev.target]:
@@ -130,7 +138,9 @@ class Events(tuple):
 
 @dataclass(frozen=True)
 class Scenario:
-    """One run: vehicle start, driver, events and controller settings."""
+    """One run: vehicle start, driver, events and controller settings.
+    ConfigError unless the controller is known, 0 <= v0 < inf, and dt
+    divides the horizon (check_step)."""
     name: str
     v0: float
     horizon: float
@@ -142,6 +152,12 @@ class Scenario:
     allocator: AllocatorConfig = field(default_factory=AllocatorConfig)
 
     def __post_init__(self):
+        if self.controller not in CONTROLLERS:
+            raise ConfigError(f"unknown controller {self.controller!r}")
+        if not 0.0 <= self.v0 < math.inf:
+            raise ConfigError(f"v0 {self.v0!r} must be finite and "
+                              f"non-negative")
+        check_step(self.dt, self.horizon)
         object.__setattr__(self, "events", Events(self.events))
 
     def with_speed(self, v0: float) -> "Scenario":
@@ -164,12 +180,12 @@ def check_step(dt: float, horizon: float) -> int:
     return n
 
 
-def check_events(events: Sequence[Event], dt: float, n_steps: int) -> None:
-    """Raises ConfigError if an event would never fire: it fires at the
-    first step time k * dt >= its time, and the last step is k = n_steps - 1.
-    """
-    last = (n_steps - 1) * dt
-    latest = max((ev.time for ev in events), default=0.0)
+def check_events(scn: Scenario) -> None:
+    """Raises ConfigError if an event of scn would never fire: it fires at
+    the first step time k * dt >= its time, and the last step is
+    k = n_steps - 1."""
+    last = (check_step(scn.dt, scn.horizon) - 1) * scn.dt
+    latest = max((ev.time for ev in scn.events), default=0.0)
     if latest > last:
         raise ConfigError(f"event at t={latest!r} would never fire: "
                           f"the last step starts at t={last!r}")
@@ -206,12 +222,7 @@ def _parse_profile(text: str, where: str) -> PiecewiseLinear:
         if not sep:
             raise ConfigError(f"{where}: bad breakpoint {token!r}")
         points.append((_number(t_str, where), _number(v_str, where)))
-    if not points:
-        raise ConfigError(f"{where}: empty profile")
-    try:
-        return PiecewiseLinear(tuple(points))
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+    return PiecewiseLinear(tuple(points))
 
 
 def _parse_event(line: str, lineno: int) -> Event:
@@ -221,21 +232,10 @@ def _parse_event(line: str, lineno: int) -> Event:
     t_str, kind, target, f_str = parts
     time = _number(t_str, f"line {lineno}: event time")
     factor = _number(f_str, f"line {lineno}: event factor")
-    if kind not in EVENT_KINDS:
-        raise ConfigError(f"line {lineno}: unknown event kind {kind!r}")
-    if kind == "effectiveness":
-        if target not in ACTUATOR_NAMES:
-            raise ConfigError(f"line {lineno}: unknown actuator {target!r}")
-        if not 0.0 < factor <= 1.0:
-            raise ConfigError(f"line {lineno}: effectiveness must be in (0, 1]")
-    else:
-        if target not in TIRE_SETS:
-            raise ConfigError(f"line {lineno}: unknown tire set {target!r}")
-        if kind == "friction" and not 0.0 < factor <= 1.0:
-            raise ConfigError(f"line {lineno}: friction factor must be in (0, 1]")
-    if time < 0.0:
-        raise ConfigError(f"line {lineno}: event time must be non-negative")
-    return Event(time=time, kind=kind, target=target, factor=factor)
+    try:
+        return Event(time=time, kind=kind, target=target, factor=factor)
+    except ConfigError as exc:
+        raise ConfigError(f"line {lineno}: {exc}") from exc
 
 
 def parse_scenario(text: str, name: Optional[str] = None) -> Scenario:
@@ -279,12 +279,6 @@ def parse_scenario(text: str, name: Optional[str] = None) -> Scenario:
                            for k in ("v0", "horizon", "dt"))
     except KeyError as exc:
         raise ConfigError(f"[scenario] is missing {exc.args[0]!r}") from exc
-    controller = sc.get("controller", "proposed")
-    if controller not in CONTROLLERS:
-        raise ConfigError(f"unknown controller {controller!r}")
-    n_steps = check_step(dt, horizon)
-    if v0 < 0.0:
-        raise ConfigError("v0 must be non-negative")
 
     drv = keyvals["driver"]
     driver = DriverInput(
@@ -293,17 +287,17 @@ def parse_scenario(text: str, name: Optional[str] = None) -> Scenario:
         brake=_parse_profile(drv.get("brake", "0:0"), "brake"),
     )
 
-    check_events(events, dt, n_steps)
-
-    return Scenario(
+    scn = Scenario(
         name=sc.get("name", name or "unnamed"),
         v0=v0, horizon=horizon, dt=dt,
-        driver=driver, controller=controller,
+        driver=driver, controller=sc.get("controller", "proposed"),
         events=tuple(events),
         gains=_settings(Gains, keyvals["gains"], "gains"),
         allocator=_settings(AllocatorConfig, keyvals["allocator"],
                             "allocator"),
     )
+    check_events(scn)
+    return scn
 
 
 def load_scenario(path: str | Path) -> Scenario:

@@ -108,17 +108,27 @@ class TestTimeOrder:
         with pytest.raises(ConfigError, match="time order"):
             dataclasses.replace(scn, events=self.UNSORTED)
 
-    @pytest.mark.parametrize("time", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("time", [math.nan, math.inf, -math.inf, -1.0])
     def test_non_finite_time_rejected(self, time):
         with pytest.raises(ConfigError, match="finite"):
             scenario((Event(time, "friction", "all", 0.9),))
 
-    @pytest.mark.parametrize("ev", [Event(0.1, "gust", "all", 1.0),
-                                    Event(0.1, "effectiveness", "fl", 0.5),
-                                    Event(0.1, "friction", "T_fl", 0.5)])
-    def test_unknown_kind_or_target_rejected(self, ev):
+    @pytest.mark.parametrize("row", [(0.1, "gust", "all", 1.0),
+                                     (0.1, "effectiveness", "fl", 0.5),
+                                     (0.1, "friction", "T_fl", 0.5)])
+    def test_unknown_kind_or_target_rejected(self, row):
         with pytest.raises(ConfigError, match="unknown"):
-            scenario((ev,))
+            scenario((Event(*row),))
+
+    @pytest.mark.parametrize("kind, target, factor", [
+        ("friction", "all", 5.0), ("friction", "all", 0.0),
+        ("friction", "left", math.nan), ("effectiveness", "T_fl", 0.0),
+        ("effectiveness", "T_fl", -1.0), ("effectiveness", "d_rr", 1.5),
+        ("effectiveness", "T_rr", math.nan), ("elevation", "fl", math.nan),
+        ("elevation", "all", math.inf)])
+    def test_factor_out_of_range_rejected(self, kind, target, factor):
+        with pytest.raises(ConfigError, match=kind):
+            scenario((Event(0.1, kind, target, factor),))
 
     def test_unsorted_file_rejected(self):
         text = ("[scenario]\nv0 = 10\nhorizon = 1\ndt = 0.001\n[events]\n"
@@ -157,7 +167,10 @@ class TestClosedLoop:
         log = harness.run_scenario(scn)
         assert len(log) == 500 and not log.diverged
         compiled = emit_csv(log, tmp_path / "compiled.csv").read_bytes()
-        for name in ("apply_faults", "friction_scale", "road_elevation"):
+        # the oracle returns an array; the harness passes the plant floats
+        monkeypatch.setattr(harness, "apply_faults",
+                            lambda *a: ref.apply_faults(*a).tolist())
+        for name in ("friction_scale", "road_elevation"):
             monkeypatch.setattr(harness, name, getattr(ref, name))
         scanned = emit_csv(harness.run_scenario(scn),
                            tmp_path / "scanned.csv").read_bytes()

@@ -64,7 +64,7 @@ class TestFaultInjection:
         out = apply_faults(u, events, 1.0)
         assert out[3] == pytest.approx(0.10)
         assert out[7] == pytest.approx(0.10)
-        assert np.sum(out == 1.0) == 10
+        assert np.sum(np.asarray(out) == 1.0) == 10
         # inactive before the event time
         np.testing.assert_array_equal(apply_faults(u, events, 0.5), u)
 

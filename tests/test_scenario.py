@@ -1,11 +1,13 @@
+import dataclasses
+import math
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from staballoc.allocator import AllocatorConfig
 from staballoc.controllers import Gains
-from staballoc.scenario import (ACTUATOR_NAMES, EVENT_KINDS, TIRE_SETS,
-                                ConfigError, Event, check_step,
-                                load_scenario, parse_scenario)
+from staballoc.scenario import (EVENT_TARGETS, ConfigError, Event,
+                                check_step, load_scenario, parse_scenario)
 
 GOOD = """
 # a comment
@@ -142,6 +144,21 @@ class TestValidation:
                            + section)
 
 
+class TestScenarioRules:
+    """The Scenario rules hold however a Scenario is built, not only when
+    a file is parsed."""
+    BASE = "[scenario]\nv0 = 10\nhorizon = 0.5\ndt = 0.001\n"
+
+    @pytest.mark.parametrize("change", [
+        {"v0": -5.0}, {"v0": math.nan}, {"v0": math.inf},
+        {"controller": "bogus"}, {"dt": 0.003}, {"dt": 0.0},
+        {"horizon": math.nan}])
+    def test_replacement_rejected(self, change):
+        scn = parse_scenario(self.BASE)
+        with pytest.raises(ConfigError):
+            dataclasses.replace(scn, **change)
+
+
 # ---------------------------------------------------------------------------
 # round trips: a scenario written as text parses back to the same values
 
@@ -163,8 +180,8 @@ def profiles(draw):
 
 @st.composite
 def events(draw):
-    kind = draw(st.sampled_from(EVENT_KINDS))
-    targets = ACTUATOR_NAMES if kind == "effectiveness" else sorted(TIRE_SETS)
+    kind = draw(st.sampled_from(sorted(EVENT_TARGETS)))
+    targets = sorted(EVENT_TARGETS[kind])
     factor = draw(FINITE if kind == "elevation" else UNIT)
     return Event(draw(TIMES), kind, draw(st.sampled_from(targets)), factor)
 
@@ -331,3 +348,48 @@ class TestRoundTrip:
         index = data.draw(st.integers(0, len(numbers(lines)) - 1))
         with pytest.raises(ConfigError, match="not finite"):
             parse_scenario(render(lines, index, bad))
+
+
+# an event row: a valid one, or one with a field drawn from anything.
+# Times stay up to the last step: a later event is the parser's own
+# "never fires" rule.
+ANY_FIELD = (
+    st.one_of(st.floats(-1.0, HORIZON - DT),
+              st.sampled_from([-0.0, math.nan, math.inf, -math.inf])),
+    st.sampled_from(sorted(EVENT_TARGETS) + ["gust"]),
+    st.sampled_from(sorted({t for ts in EVENT_TARGETS.values() for t in ts})
+                    + ["T_xx"]),
+    st.one_of(st.floats(-2.0, 2.0), st.sampled_from(
+        [0.0, 1.0, 5.0, -1.0, math.nan, math.inf, -math.inf])))
+
+
+@st.composite
+def event_rows(draw):
+    kind = draw(st.sampled_from(sorted(EVENT_TARGETS)))
+    target = draw(st.sampled_from(sorted(EVENT_TARGETS[kind])))
+    row = [draw(TIMES), kind, target,
+           draw(FINITE if kind == "elevation" else UNIT)]
+    changed = draw(st.sampled_from((None, 0, 1, 2, 3)))
+    if changed is not None:
+        row[changed] = draw(ANY_FIELD[changed])
+    return tuple(row)
+
+
+class TestOneRule:
+    @given(row=event_rows())
+    @example(row=(0.5, "friction", "all", 5.0))
+    @example(row=(-1.0, "elevation", "fl", 0.01))
+    @settings(max_examples=300, deadline=None)
+    def test_file_row_rejected_iff_event_is(self, row):
+        """A file holding the row fails, naming the row's line, exactly when
+        Event(*row) fails: one rule, two entry points."""
+        text = (f"[scenario]\nv0 = 10\nhorizon = {HORIZON!r}\n"
+                f"dt = {DT!r}\n[events]\n{row[0]!r} {row[1]} {row[2]} "
+                f"{row[3]!r}\n")
+        try:
+            event = Event(*row)
+        except ConfigError:
+            with pytest.raises(ConfigError, match="^line 6: "):
+                parse_scenario(text)
+        else:
+            assert parse_scenario(text).events == (event,)
