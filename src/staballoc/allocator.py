@@ -56,19 +56,18 @@ def init_theta(b_l: np.ndarray) -> np.ndarray:
     return np.linalg.pinv(b_l)
 
 
-def project_rate(theta: np.ndarray, raw: np.ndarray,
-                 lo: np.ndarray, hi: np.ndarray,
-                 margin: float) -> np.ndarray:
-    """Entrywise box projection of the update direction.
+def project_rate(theta: np.ndarray, q: np.ndarray, lo: np.ndarray,
+                 hi: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """Entrywise box projection of the update direction, taken and
+    returned negated (q = -raw).
 
     Outward-pointing components are scaled down linearly inside a boundary
-    layer of width margin*(hi-lo) and vanish at the box edge.
+    layer of width eps = margin*(hi-lo) and vanish at the box edge.  theta
+    lies in [lo, hi], so the room to the bound is never negative; where q
+    is +-0 every finite scale keeps its signed zero.
     """
-    eps = margin * (hi - lo)
-    up = np.clip((hi - theta) / eps, 0.0, 1.0)
-    dn = np.clip((theta - lo) / eps, 0.0, 1.0)
-    scale = np.where(raw > 0.0, up, np.where(raw < 0.0, dn, 1.0))
-    return raw * scale
+    room = np.where(q < 0.0, hi - theta, theta - lo)
+    return q * np.minimum(room / eps, 1.0)
 
 
 @dataclass(frozen=True)
@@ -131,6 +130,7 @@ class AdaptiveAllocator:
         half[half == 0.0] = self.cfg.theta_bound_floor
         self.lo = self.theta - half
         self.hi = self.theta + half
+        self.eps = self.cfg.proj_margin * (self.hi - self.lo)
         self.xi = np.zeros(self.n_v)
         self.xi_m = np.zeros(self.n_v)
         self.prev_u_ca = np.zeros(self.n_u)
@@ -147,29 +147,28 @@ class AdaptiveAllocator:
         if dt <= 0.0:
             raise ValueError("dt must be positive")
         s = self.cfg.v_scale
-        v_s = np.asarray(v, dtype=float) / s
-        r_s = np.asarray(realized, dtype=float) / s
+        v_s = np.divide(v, s)
+        r_s = np.divide(realized, s)
 
-        e = self.xi - self.xi_m
-        raw = -np.outer(self.b_hat.T @ (self.p @ e), v_s)
-        rate = self.cfg.gamma * project_rate(self.theta, raw,
-                                             self.lo, self.hi,
-                                             self.cfg.proj_margin)
-        self.theta = np.clip(self.theta + dt * rate, self.lo, self.hi)
+        # q = -raw, so theta + dt*gamma*(projected raw) is theta minus that
+        q = np.multiply.outer(self.b_hat.T @ (self.p @ (self.xi - self.xi_m)),
+                              v_s)
+        q = project_rate(self.theta, q, self.lo, self.hi, self.eps)
+        theta = self.theta - dt * (self.cfg.gamma * q)
+        self.theta = np.minimum(np.maximum(theta, self.lo), self.hi)
 
         self.xi = self.xi + dt * (self.a_m @ self.xi + r_s - v_s)
         self.xi_m = self.xi_m + dt * (self.a_m @ self.xi_m)
 
         u_bar = self.u_scale * (self.theta @ v_s)
-        bn = np.asarray(bn_diag, dtype=float)
-        bn_ok = bn_is_invertible(bn)
+        bn_ok = bn_is_invertible(bn_diag)
         if bn_ok:
-            self.prev_u_ca = u_bar / bn
+            self.prev_u_ca = u_bar / bn_diag
         else:
             self.bn_failures += 1
-        residual = float(np.linalg.norm(r_s - v_s))
-        return StepResult(u=self.prev_u_ca, u_bar=u_bar, residual=residual,
-                          bn_ok=bn_ok)
+        d = r_s - v_s
+        return StepResult(u=self.prev_u_ca, u_bar=u_bar,
+                          residual=math.sqrt(d.dot(d)), bn_ok=bn_ok)
 
 
 def measured_net(a_x: float, a_y: float, yaw_acc: float, roll_acc: float,

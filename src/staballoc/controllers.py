@@ -22,13 +22,16 @@ from .plant import STEER_LIMIT, clip
 
 @dataclass(frozen=True)
 class PiecewiseLinear:
-    """Piecewise-linear time profile over time-sorted breakpoints (at least
-    one; ConfigError otherwise); constant extrapolation past the ends."""
+    """Piecewise-linear time profile over time-sorted, finite breakpoints
+    (at least one; ConfigError otherwise); constant extrapolation past the
+    ends."""
     points: Tuple[Tuple[float, float], ...]
 
     def __post_init__(self) -> None:
         if not self.points:
             raise ConfigError("profile needs at least one breakpoint")
+        if not all(math.isfinite(x) for point in self.points for x in point):
+            raise ConfigError(f"breakpoints {self.points} must be finite")
         ts = [t for t, _ in self.points]
         if any(t1 < t0 for t0, t1 in zip(ts, ts[1:])):
             raise ConfigError(f"breakpoint times {ts} must be sorted")

@@ -17,7 +17,7 @@ Controllers:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .allocator import AdaptiveAllocator, measured_net
@@ -98,6 +98,8 @@ class _Loop:
     gains: Gains
     cs: ControllerState
     allocator: Optional[AdaptiveAllocator]
+    # the previous command's allocated steer, before the driver's is added
+    steer_prev: Sequence[float] = field(init=False, default=(0.0,) * 4)
 
     def command(self, delta_in: float, f_ref: float,
                 meas: Dict[str, float], dt: float, p: VehicleParams,
@@ -124,11 +126,10 @@ class _Loop:
         realized = measured_net(meas["ax"], meas["ay"], meas["yaw_acc"],
                                 meas["roll_acc"], meas["pitch_acc"],
                                 meas["Vx"], p)
-        alloc = self.allocator
-        steer_prev = tuple(alloc.prev_u_ca[0:4])
-        bn = build_bn(steer_prev, normals, p)
-        res = alloc.step(v, realized, bn, dt)
+        bn = build_bn(self.steer_prev, normals, p)
+        res = self.allocator.step(v, realized, bn, dt)
         u = res.u.tolist()
+        self.steer_prev = u[0:4]
         u[0] += delta_in
         u[1] += delta_in
         if self.mode == "hybrid":

@@ -125,4 +125,4 @@ def build_bn(steer: Sequence[float], normals: Sequence[float],
 
 def bn_is_invertible(bn_diag: np.ndarray) -> bool:
     """True when every diagonal entry of B_n is bounded away from zero."""
-    return bool(np.min(np.abs(bn_diag)) > BN_EPS)
+    return bool(np.abs(bn_diag).min() > BN_EPS)

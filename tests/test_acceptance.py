@@ -163,6 +163,17 @@ def test_criterion_6_speed_margin(scenario_dir):
     assert ok
 
 
+def test_fault_run_max_beta_converges_in_dt(runs, scenario_dir):
+    # the proposed controller's actuator-fault max|beta| at dt = 2, 1 and
+    # 0.5 ms agrees within 0.01 deg (the 1 ms run is the shared one)
+    scn = load_scenario(scenario_dir / "actuator_fault.scn")
+    betas = [math.degrees(compute_metrics(run_scenario(scn, dt=dt)).max_beta)
+             for dt in (2e-3, 5e-4)]
+    betas.insert(1, math.degrees(runs[("actuator_fault", "proposed")][1]
+                                 .max_beta))
+    assert max(betas) - min(betas) < 0.01, betas
+
+
 def test_criterion_7_roll_pitch_reduction(runs):
     _, m_p = runs[("suspension_fault", "proposed")]
     _, m_h = runs[("suspension_fault", "hybrid")]

@@ -5,12 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_allocator as reference
 from effort_map import lyapunov_value, theta_star
 from staballoc.allocator import (AdaptiveAllocator, AllocatorConfig,
                                  init_theta, measured_net, project_rate,
                                  solve_lyapunov)
-from staballoc.linmodel import build_bl, build_bn
+from staballoc import harness
+from staballoc.harness import run_scenario
+from staballoc.linmodel import bn_is_invertible, build_bl, build_bn
 from staballoc.params import ConfigError, VehicleParams
+from staballoc.scenario import load_scenario
 
 
 class TestConfig:
@@ -83,20 +87,30 @@ class TestInitTheta:
             init_theta(np.zeros((3, 5)))
 
 
+def negated_rate(theta, raw, lo, hi, margin):
+    """The projected rate through `project_rate`, which takes and returns
+    it negated."""
+    return -project_rate(theta, -raw, lo, hi, margin * (hi - lo))
+
+
+def hexes(x):
+    return [float(y).hex() for y in np.ravel(x)]
+
+
 class TestProjection:
     def test_zero_error_gives_zero_rate(self):
         theta = np.zeros((3, 2))
         raw = np.zeros((3, 2))
-        out = project_rate(theta, raw, theta - 1.0, theta + 1.0, 0.05)
+        out = negated_rate(theta, raw, theta - 1.0, theta + 1.0, 0.05)
         assert np.all(out == 0.0)
 
     def test_outward_rate_zeroed_at_bound(self):
         theta = np.array([[1.0]])
         lo, hi = np.array([[-1.0]]), np.array([[1.0]])
-        out = project_rate(theta, np.array([[5.0]]), lo, hi, 0.05)
+        out = negated_rate(theta, np.array([[5.0]]), lo, hi, 0.05)
         assert out[0, 0] == 0.0
         # inward update passes through untouched
-        out = project_rate(theta, np.array([[-5.0]]), lo, hi, 0.05)
+        out = negated_rate(theta, np.array([[-5.0]]), lo, hi, 0.05)
         assert out[0, 0] == -5.0
 
     @given(st.lists(st.floats(-10.0, 10.0), min_size=8, max_size=8),
@@ -110,9 +124,29 @@ class TestProjection:
         dt = 0.05
         for i in range(0, len(raws), 4):
             raw = np.array(raws[i:i + 4]).reshape(2, 2)
-            rate = project_rate(theta, raw, lo, hi, 0.05)
+            rate = negated_rate(theta, raw, lo, hi, 0.05)
             theta = np.clip(theta + dt * rate, lo, hi)
             assert np.all(theta >= lo) and np.all(theta <= hi)
+
+    @given(st.lists(st.sampled_from(["lo", "lo+", "mid", "hi-", "hi"]),
+                    min_size=6, max_size=6),
+           st.lists(st.one_of(st.floats(-1e3, 1e3),
+                              st.sampled_from([0.0, -0.0, math.nan])),
+                    min_size=6, max_size=6),
+           st.sampled_from([0.05, 0.5, 0.999]))
+    @settings(max_examples=200)
+    def test_equals_the_reference_bit_for_bit(self, where, raws, margin):
+        # theta at a bound, one ulp inside it or in the middle; raw of
+        # either sign, a signed zero or NaN
+        lo = np.array([-1.0, -2.5, 1e-3, -3e-20, -7.0, 0.25])
+        hi = np.array([1.0, -0.5, 3e-3, 1e-20, 5.0, 0.75])
+        pick = {"lo": lo, "lo+": np.nextafter(lo, hi),
+                "mid": 0.5 * (lo + hi), "hi-": np.nextafter(hi, lo),
+                "hi": hi}
+        theta = np.array([pick[w][i] for i, w in enumerate(where)])
+        raw = np.array(raws)
+        assert hexes(negated_rate(theta, raw, lo, hi, margin)) == \
+            hexes(reference.project_rate(theta, raw, lo, hi, margin))
 
 
 class TestScalarAllocation:
@@ -255,6 +289,165 @@ class TestVehicleAllocation:
         al = AdaptiveAllocator(b_l, AllocatorConfig())
         with pytest.raises(ValueError):
             al.step(np.zeros(5), np.zeros(5), b_n, 0.0)
+
+
+P = VehicleParams()
+
+# theta0 entries that are pinv round-off: the roll and pitch columns of
+# the 8 steering and traction rows, where the effort map has structural
+# zeros
+FROZEN = [(i, j) for i in range(8) for j in (3, 4)]
+
+
+def at_bound(al):
+    at = (al.theta <= al.lo) | (al.theta >= al.hi)
+    return sorted(map(tuple, np.argwhere(at).tolist()))
+
+
+def twins(cfg=AllocatorConfig()):
+    b_l = build_bl(P)
+    return AdaptiveAllocator(b_l, cfg), reference.ReferenceAllocator(b_l, cfg)
+
+
+def assert_same_step(al, ref, v, realized, bn, dt):
+    res, want = al.step(v, realized, bn, dt), ref.step(v, realized, bn, dt)
+    assert (hexes(res.u), hexes(res.u_bar), res.residual.hex(),
+            res.bn_ok) == (hexes(want.u), hexes(want.u_bar),
+                           want.residual.hex(), want.bn_ok)
+    assert type(res.residual) is float
+    for name in ("theta", "xi", "xi_m"):
+        assert hexes(getattr(al, name)) == hexes(getattr(ref, name)), name
+    assert al.bn_failures == ref.bn_failures
+    return res
+
+
+SIGNED = st.one_of(st.floats(-3e4, 3e4), st.sampled_from([0.0, -0.0]))
+PLACES = ("theta0", "lo", "lo+", "hi-", "hi")
+
+
+@st.composite
+def step_inputs(draw):
+    """v (a list, as the harness passes it), realized and a B_n diagonal,
+    optionally with a zero entry."""
+    v = draw(st.lists(SIGNED, min_size=5, max_size=5))
+    realized = np.array(draw(st.lists(SIGNED, min_size=5, max_size=5)))
+    bn = build_bn(draw(st.lists(st.floats(-0.6, 0.6), min_size=4,
+                                max_size=4)),
+                  draw(st.lists(st.floats(500.0, 8000.0), min_size=4,
+                                max_size=4)), P)
+    zero = draw(st.integers(-1, 11))
+    if zero >= 0:
+        bn[zero] = draw(st.sampled_from([0.0, -0.0]))
+    return v, realized, bn
+
+
+class TestAgainstReference:
+    """The step against the old step in tests/reference_allocator.py, by
+    float.hex on every output and every state array."""
+
+    @given(st.lists(st.sampled_from(PLACES), min_size=60, max_size=60),
+           st.lists(step_inputs(), min_size=2, max_size=25),
+           st.none() | st.tuples(st.integers(0, 24),
+                                 st.sampled_from(["v", "realized", "bn"]),
+                                 st.integers(0, 11),
+                                 st.sampled_from([math.nan, math.inf,
+                                                  -math.inf])),
+           st.sampled_from([5e-4, 1e-3, 2e-3]),
+           st.sampled_from([AllocatorConfig(),
+                            AllocatorConfig(gamma=5.0e6, proj_margin=0.5)]))
+    @settings(max_examples=150, deadline=None)
+    def test_steps_bit_for_bit(self, places, steps, poison, dt, cfg):
+        # theta starts at theta0, at a bound or one ulp inside it, entry by
+        # entry (the 16 round-off entries included); one input entry may
+        # be NaN or infinite at one step
+        al, ref = twins(cfg)
+        pick = {"theta0": al.theta, "lo": al.lo, "hi": al.hi,
+                "lo+": np.nextafter(al.lo, al.hi),
+                "hi-": np.nextafter(al.hi, al.lo)}
+        theta = np.array([pick[w].flat[k] for k, w in enumerate(places)])
+        al.theta = theta.reshape(al.theta.shape)
+        ref.theta = al.theta.copy()
+        for k, (v, realized, bn) in enumerate(steps):
+            if poison is not None and poison[0] % len(steps) == k:
+                _, name, i, bad = poison
+                if name == "v":
+                    v[i % 5] = bad
+                elif name == "realized":
+                    realized[i % 5] = bad
+                else:
+                    bn[i] = bad
+            with np.errstate(invalid="ignore", over="ignore"):
+                assert_same_step(al, ref, v, realized, bn, dt)
+
+    def test_closed_loop_bit_for_bit(self, bench):
+        # a long closed loop with an effectiveness loss half way through
+        b_l, b_n = bench
+        al, ref = twins()
+        lam = np.ones(12)
+        v = [6000.0, 2000.0, 4000.0, 3000.0, 2000.0]
+        realized = np.zeros(5)
+        for k in range(3000):
+            if k == 1500:
+                lam = np.random.default_rng(5).uniform(0.1, 1.0, 12)
+            res = assert_same_step(al, ref, v, realized, b_n, 1e-3)
+            realized = b_l @ (lam * res.u_bar)
+
+    @given(st.lists(st.one_of(st.floats(), st.sampled_from(
+        [1e-6, np.nextafter(1e-6, 1.0), -1e-6, 0.0, -0.0])),
+        min_size=1, max_size=12))
+    def test_bn_check_matches_reference(self, bn):
+        assert bn_is_invertible(np.array(bn)) == \
+            reference.bn_is_invertible(np.array(bn))
+
+
+class TestFrozenEntries:
+    """16 entries of theta0 are pinv round-off; the box floor catches only
+    exact zeros, so their boxes are round-off wide too and any motion puts
+    them at a bound."""
+
+    def test_round_off_entries_of_theta0(self):
+        al = AdaptiveAllocator(build_bl(P), AllocatorConfig())
+        tiny = (al.theta != 0.0) & (np.abs(al.theta) < 1e-15)
+        assert sorted(map(tuple, np.argwhere(tiny).tolist())) == FROZEN
+        frozen = tuple(np.array(FROZEN).T)
+        assert np.all(np.abs(al.theta[frozen]) < 4e-18)
+        assert np.all(al.hi[frozen] - al.lo[frozen] < 4e-16)
+
+    @pytest.mark.parametrize("roll_pitch", [(3000.0, 2000.0), (0.0, 0.0)])
+    def test_at_a_bound_from_the_second_step(self, bench, roll_pitch):
+        # e = 0 on the first step; from the second on, exactly these 16
+        # sit at a bound, unless the roll and pitch demands are zero
+        b_l, b_n = bench
+        al = AdaptiveAllocator(b_l, AllocatorConfig())
+        theta0 = al.theta.copy()
+        lam = np.random.default_rng(3).uniform(0.1, 1.0, 12)
+        v = [6000.0, 2000.0, 4000.0, *roll_pitch]
+        realized = np.zeros(5)
+        for k in range(500):
+            res = al.step(v, realized, b_n, 1e-3)
+            realized = b_l @ (lam * res.u_bar)
+            assert at_bound(al) == (FROZEN if k and any(roll_pitch) else [])
+        if not any(roll_pitch):
+            frozen = tuple(np.array(FROZEN).T)
+            assert hexes(al.theta[frozen]) == hexes(theta0[frozen])
+
+    @pytest.mark.parametrize("controller,expected",
+                             [("proposed", FROZEN), ("hybrid", [])])
+    def test_closed_loop_run_ends_with_them_at_a_bound(
+            self, monkeypatch, scenario_dir, controller, expected):
+        # the suspension fault run to 1.1 s, past its fault at 1 s; the
+        # hybrid controller zeroes the roll and pitch demands
+        made = []
+
+        class Recorded(AdaptiveAllocator):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(harness, "AdaptiveAllocator", Recorded)
+        scn = load_scenario(scenario_dir / "suspension_fault.scn")
+        run_scenario(dataclasses.replace(scn, horizon=1.1), controller)
+        assert at_bound(made[0]) == expected
 
 
 class TestMeasuredNet:

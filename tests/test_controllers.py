@@ -30,6 +30,16 @@ class TestProfiles:
         with pytest.raises(ValueError):
             PiecewiseLinear(((2.0, 0.0), (1.0, 1.0)))
 
+    @pytest.mark.parametrize("points", [
+        ((0.0, math.nan),), ((0.0, math.inf),), ((0.0, 0.0), (1.0, -math.inf)),
+        ((math.nan, 0.0), (1.0, 0.2)), ((0.0, 0.0), (math.inf, 1.0)),
+        ((-math.inf, 0.0),)])
+    def test_non_finite_breakpoint_rejected(self, points):
+        # a NaN steer value used to reach the plant and a NaN time passed
+        # the sort check
+        with pytest.raises(ConfigError, match="finite"):
+            PiecewiseLinear(points)
+
     def test_driver_force_is_pedal_minus_brake(self):
         drv = DriverInput(steer=PiecewiseLinear.constant(0.0),
                           pedal=PiecewiseLinear.constant(500.0),
