@@ -62,8 +62,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
           f"rms roll={m.rms_roll:.5f} rad  rms pitch={m.rms_pitch:.5f} rad  "
           f"offset at line={m.lateral_offset:.2f} m")
     if log.diverged:
-        print(f"DIVERGED at t={log.diverged_at:.3f}: "
-              f"{log.divergence_reason}", file=sys.stderr)
+        print(f"DIVERGED at t={log.stopped_at:.3f}: {log.stop_reason}",
+              file=sys.stderr)
         return EXIT_DIVERGED
     return EXIT_OK
 
@@ -83,7 +83,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     scn = load_scenario(args.scenario)
     v = sweep_max_speed(scn, args.controller, args.vmin, args.vmax,
                         resolution=args.resolution)
-    print(f"max stable initial speed ({args.controller}): {v:.2f} m/s")
+    if math.isnan(v):
+        print(f"no stable speed in [{args.vmin:g}, {args.vmax:g}] m/s "
+              f"({args.controller})")
+    else:
+        print(f"max stable initial speed ({args.controller}): {v:.2f} m/s")
     return EXIT_OK
 
 

@@ -139,16 +139,21 @@ class _Loop:
 
 
 def run_scenario(scn: Scenario, controller: Optional[str] = None,
-                 dt: Optional[float] = None) -> RunLog:
+                 dt: Optional[float] = None,
+                 beta_limit: float = math.inf) -> RunLog:
     """Simulate one scenario on the stock vehicle and return the per-step log.
 
     The scenario carries every setting of the run; controller and dt, when
     given, replace its controller and step through dataclasses.replace, so
     the Scenario rules hold for them too.  A dt that replaces the
-    scenario's must also leave no event after the last step.  Any of these
-    raises ConfigError before any step.  The run stops early with a
-    partial log when the plant diverges.
+    scenario's must also leave no event after the last step.  Any of these,
+    or a beta_limit that is not positive, raises ConfigError before any
+    step.  The run stops early with a partial log when the plant diverges,
+    or after the first step whose logged |beta| reaches beta_limit; up to
+    there the log is the same as that of the full run.
     """
+    if not beta_limit > 0.0:
+        raise ConfigError(f"beta_limit {beta_limit!r} is not positive")
     run = replace(scn, controller=controller or scn.controller,
                   dt=scn.dt if dt is None else dt)
     if run.dt != scn.dt:
@@ -205,6 +210,11 @@ def run_scenario(scn: Scenario, controller: Optional[str] = None,
             log.mark_diverged(t + dt, "non-finite or out-of-bound state "
                                       f"after step {k}")
             break
+        if abs(meas["beta"]) >= beta_limit:
+            log.mark_stopped(t, f"|beta| reached the limit of "
+                                f"{math.degrees(beta_limit):g} deg at "
+                                f"step {k}")
+            break
         prev_inputs = inputs
     return log
 
@@ -214,9 +224,11 @@ def sweep_max_speed(scn: Scenario, controller: str,
     """Largest initial speed in [v_min, v_max] the controller survives.
 
     Survival: no spin flag, no divergence, and max |beta| below BETA_LIMIT.
-    Bisection to the given resolution, assuming a single stability
-    threshold in the range.  Returns NaN when even v_min fails; raises
-    ConfigError unless 0 <= v_min <= v_max < inf and 0 < resolution < inf.
+    A failing run ends at the step whose |beta| reaches BETA_LIMIT, since
+    the rest of it cannot change the verdict.  Bisection to the given
+    resolution, assuming a single stability threshold in the range.
+    Returns NaN when even v_min fails; raises ConfigError unless
+    0 <= v_min <= v_max < inf and 0 < resolution < inf.
     """
     if not 0.0 <= v_min <= v_max < math.inf:
         raise ConfigError(f"speed range [{v_min!r}, {v_max!r}] must have "
@@ -225,7 +237,8 @@ def sweep_max_speed(scn: Scenario, controller: str,
         raise ConfigError(f"resolution {resolution!r} is not in (0, inf)")
 
     def stable(v0: float) -> bool:
-        log = run_scenario(scn.with_speed(v0), controller=controller)
+        log = run_scenario(scn.with_speed(v0), controller=controller,
+                           beta_limit=BETA_LIMIT)
         m = compute_metrics(log)
         return (not m.spin) and (not m.diverged) and m.max_beta < BETA_LIMIT
 

@@ -27,7 +27,11 @@ class RunLog:
 
     `cols` carries the fixed CSV schema (commanded actuator values);
     `r_ref` additionally keeps the yaw-rate reference the spin metric
-    integrates.
+    integrates.  A run that ends before its horizon records when and why
+    in `stopped_at` and `stop_reason`; `diverged` says whether the plant
+    diverged (stopped_at is then the time of the first bad state, which is
+    not logged) or the run was stopped on purpose (stopped_at is then the
+    time of the last logged row).
     """
     scenario: str = ""
     controller: str = ""
@@ -36,8 +40,8 @@ class RunLog:
         default_factory=lambda: {c: [] for c in CSV_COLUMNS})
     r_ref: List[float] = field(default_factory=list)
     diverged: bool = False
-    diverged_at: Optional[float] = None
-    divergence_reason: str = ""
+    stopped_at: Optional[float] = None
+    stop_reason: str = ""
 
     def __len__(self) -> int:
         return len(self.cols["t"])
@@ -47,10 +51,13 @@ class RunLog:
             self.cols[c].append(values[c])
         self.r_ref.append(r_ref)
 
+    def mark_stopped(self, t: float, reason: str) -> None:
+        self.stopped_at = t
+        self.stop_reason = reason
+
     def mark_diverged(self, t: float, reason: str) -> None:
         self.diverged = True
-        self.diverged_at = t
-        self.divergence_reason = reason
+        self.mark_stopped(t, reason)
 
 
 def emit_csv(log: RunLog, path: str | Path) -> Path:
@@ -67,17 +74,26 @@ def emit_csv(log: RunLog, path: str | Path) -> Path:
 
 
 def parse_csv(path: str | Path) -> Dict[str, List[float]]:
+    """Columns of a CSV written by emit_csv.  An empty file, or a row with
+    another number of cells than the header, raises ValueError naming the
+    file and the line."""
     path = Path(path)
     try:
-        lines = Path(path).read_text().splitlines()
+        lines = path.read_text().splitlines()
     except OSError as exc:
         raise OSError(f"cannot read CSV from {path}: {exc}") from exc
+    if not lines:
+        raise ValueError(f"{path}, line 1: empty file, no CSV header")
     header = lines[0].split(",")
     data: Dict[str, List[float]] = {h: [] for h in header}
-    for line in lines[1:]:
+    for number, line in enumerate(lines[1:], start=2):
         if not line:
             continue
-        for h, v in zip(header, line.split(",")):
+        cells = line.split(",")
+        if len(cells) != len(header):
+            raise ValueError(f"{path}, line {number}: {len(cells)} cells, "
+                             f"the header has {len(header)}")
+        for h, v in zip(header, cells):
             data[h].append(float(v))
     return data
 

@@ -2,6 +2,8 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,9 +14,9 @@ from staballoc.allocator import AdaptiveAllocator, AllocatorConfig, \
     measured_net
 from staballoc.cli import main as cli_main
 from staballoc.controllers import ControllerState, Gains
-from staballoc.harness import (_Loop, apply_faults, clip_u, friction_scale,
-                               measure, road_elevation, run_scenario,
-                               sweep_max_speed)
+from staballoc.harness import (BETA_LIMIT, _Loop, apply_faults, clip_u,
+                               friction_scale, measure, road_elevation,
+                               run_scenario, sweep_max_speed)
 from staballoc.linmodel import build_bl, build_bn
 from staballoc.logio import CSV_COLUMNS, RunLog
 from staballoc.metrics import compute_metrics
@@ -186,7 +188,7 @@ class TestRunScenario:
                 "dt = 0.05\n[driver]\nsteer = 0:0.3\n")
         log = run_scenario(parse_scenario(text))
         assert log.diverged
-        assert log.diverged_at is not None
+        assert log.stopped_at is not None
         assert len(log) < 20
         assert all(math.isfinite(v) for v in log.cols["Vx"])
 
@@ -222,6 +224,71 @@ class TestRunScenario:
         text = SHORT + "\n[allocator]\nbogus = 1\n"
         with pytest.raises(ValueError):
             run_scenario(parse_scenario(text))
+
+
+class TestBetaLimit:
+    """A run with beta_limit ends after the first step whose logged |beta|
+    reaches it: the baseline at 26 m/s on actuator_fault crosses 15 deg at
+    step 4160 of a 5 s horizon."""
+
+    @pytest.fixture(scope="class")
+    def scn(self, scenario_dir):
+        return replace(load_scenario(scenario_dir / "actuator_fault.scn")
+                       .with_speed(26.0), horizon=5.0)
+
+    @pytest.fixture(scope="class")
+    def full(self, scn):
+        return run_scenario(scn, controller="baseline")
+
+    @pytest.fixture(scope="class")
+    def counted(self, scn):
+        # the limited run, with its calls of measure, step_rk4 and append
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+        with pytest.MonkeyPatch.context() as mp:
+            for owner, name in ((harness, "measure"), (harness, "step_rk4"),
+                                (RunLog, "append")):
+                mp.setattr(owner, name, counting(name, getattr(owner, name)))
+            log = run_scenario(scn, controller="baseline",
+                               beta_limit=BETA_LIMIT)
+        return log, calls
+
+    def test_log_is_a_bit_exact_prefix_of_the_full_run(self, full, counted):
+        log, _ = counted
+        n = len(log)
+        assert n < len(full)
+        for c in CSV_COLUMNS:
+            assert [v.hex() for v in log.cols[c]] == \
+                [v.hex() for v in full.cols[c][:n]], c
+        assert [v.hex() for v in log.r_ref] == \
+            [v.hex() for v in full.r_ref[:n]]
+
+    def test_ends_at_the_first_row_at_the_limit(self, full, counted):
+        log, _ = counted
+        first = next(k for k, b in enumerate(full.cols["beta"])
+                     if abs(b) >= BETA_LIMIT)
+        assert first == 4160
+        assert len(log) == first + 1
+        assert all(abs(b) < BETA_LIMIT for b in log.cols["beta"][:-1])
+        assert log.stopped_at == log.cols["t"][-1] == full.cols["t"][first]
+        assert "|beta| reached the limit of 15 deg" in log.stop_reason
+        assert not log.diverged
+        assert full.stopped_at is None and full.stop_reason == ""
+
+    def test_one_measure_step_and_append_per_row(self, counted):
+        log, calls = counted
+        assert calls == {"measure": len(log), "step_rk4": len(log),
+                         "append": len(log)}
+
+    @pytest.mark.parametrize("limit", [0.0, -0.1, math.nan])
+    def test_non_positive_limit_rejected(self, limit):
+        with pytest.raises(ConfigError, match="beta_limit"):
+            run_scenario(parse_scenario(SHORT), beta_limit=limit)
 
 
 class TestMetrics:
@@ -479,3 +546,17 @@ class TestCli:
                          "--vmin", "5", "--vmax", "5"])
         assert code == 0
         assert "5.00 m/s" in capsys.readouterr().out
+
+    def test_sweep_without_a_stable_speed_says_so(self, tmp_path, capsys,
+                                                  monkeypatch):
+        from staballoc import cli
+        monkeypatch.setattr(cli, "sweep_max_speed",
+                            lambda *args, **kwargs: math.nan)
+        scn_file = tmp_path / "short.scn"
+        scn_file.write_text(SHORT)
+        code = cli_main(["sweep", str(scn_file), "--controller", "baseline",
+                         "--vmin", "5", "--vmax", "7.5"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out == "no stable speed in [5, 7.5] m/s (baseline)\n"
+        assert "nan" not in out

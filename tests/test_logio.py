@@ -59,6 +59,25 @@ class TestCsv:
         p2 = emit_csv(log, tmp_path / "b.csv")
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_empty_file_names_the_file_and_line(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match=r"empty\.csv, line 1: empty"):
+            parse_csv(path)
+
+    @pytest.mark.parametrize("width", [32, 34])
+    def test_row_of_another_width_names_the_file_and_line(self, tmp_path,
+                                                          width):
+        # a short row must not leave columns of unequal length, nor a long
+        # one lose its extra cells
+        path = emit_csv(make_log(5), tmp_path / "ragged.csv")
+        lines = path.read_text().splitlines()
+        lines[3] = ",".join(["0.0"] * width)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"ragged\.csv, line 4: {width} "
+                                             rf"cells, the header has 33"):
+            parse_csv(path)
+
     def test_io_error_has_path_context(self, tmp_path):
         with pytest.raises(OSError, match="no/such/dir"):
             emit_csv(make_log(), tmp_path / "no" / "such" / "dir" / "x.csv")
