@@ -15,7 +15,7 @@ from .linmodel import build_bl, build_bn, build_bv, linearize
 from .logio import RunLog, emit_csv, emit_svg_plots, parse_csv
 from .metrics import Metrics, compute_metrics
 from .params import G, VehicleParams
-from .plant import PlantInputs, PlantState, step_rk4
+from .plant import Inputs, PlantDiverged, step_rk4
 from .scenario import ConfigError, Event, Scenario, load_scenario, \
     parse_scenario
 from .stability import max_closed_loop_eig
@@ -31,10 +31,10 @@ __all__ = [
     "Event",
     "G",
     "Gains",
+    "Inputs",
     "Metrics",
     "PiecewiseLinear",
-    "PlantInputs",
-    "PlantState",
+    "PlantDiverged",
     "RunLog",
     "Scenario",
     "VehicleParams",

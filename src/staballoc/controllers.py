@@ -13,7 +13,8 @@ Controller integrators advance by explicit Euler with clamping anti-windup.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from bisect import bisect_left
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Sequence, Tuple
 
 from .params import G, ConfigError, VehicleParams
@@ -26,28 +27,28 @@ class PiecewiseLinear:
     (at least one; ConfigError otherwise); constant extrapolation past the
     ends."""
     points: Tuple[Tuple[float, float], ...]
+    times: Tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.points:
             raise ConfigError("profile needs at least one breakpoint")
         if not all(math.isfinite(x) for point in self.points for x in point):
             raise ConfigError(f"breakpoints {self.points} must be finite")
-        ts = [t for t, _ in self.points]
+        ts = tuple(t for t, _ in self.points)
         if any(t1 < t0 for t0, t1 in zip(ts, ts[1:])):
-            raise ConfigError(f"breakpoint times {ts} must be sorted")
+            raise ConfigError(f"breakpoint times {list(ts)} must be sorted")
+        object.__setattr__(self, "times", ts)
 
     def __call__(self, t: float) -> float:
         pts = self.points
         if t <= pts[0][0]:
             return pts[0][1]
-        if t >= pts[-1][0]:
+        if not t < pts[-1][0]:   # a NaN time too takes the last value
             return pts[-1][1]
-        for (t0, v0), (t1, v1) in zip(pts, pts[1:]):
-            if t0 <= t <= t1:
-                if t1 == t0:
-                    return v1
-                return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
-        return pts[-1][1]
+        # the first segment with t0 <= t <= t1: times[i - 1] < t <= times[i]
+        i = bisect_left(self.times, t)
+        (t0, v0), (t1, v1) = pts[i - 1], pts[i]
+        return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
 
     @classmethod
     def constant(cls, value: float) -> "PiecewiseLinear":

@@ -2,9 +2,10 @@
 
 Per step: measurements are formed from the current state and the inputs
 applied over the previous step (the IMU sees what actually happened), the
-selected controller produces an actuator command, effectiveness faults
-scale it element-wise, and the plant advances one fixed step with the
-effective inputs held constant.
+selected controller produces an actuator command, clamped once to the
+actuator envelope (clip_u), effectiveness faults scale it element-wise,
+and the plant advances one fixed step with the effective inputs held
+constant.
 
 Controllers:
   proposed  - virtual control + adaptive allocation over all 12 actuators
@@ -28,9 +29,9 @@ from .linmodel import build_bl, build_bn
 from .logio import RunLog
 from .metrics import compute_metrics
 from .params import VehicleParams
-from .plant import (PlantInputs, PlantState, STEER_LIMIT, SUSPENSION_LIMIT,
-                    TORQUE_LIMIT, _reg, clip, normal_forces, state_derivative,
-                    step_rk4)
+from .plant import (STEER_LIMIT, SUSPENSION_LIMIT, TORQUE_LIMIT, ZERO4,
+                    Inputs, PlantDiverged, _reg, clip, normal_forces,
+                    state_derivative, step_rk4)
 from .scenario import (ConfigError, Event, Events, Scenario, check_events,
                        check_step)
 
@@ -66,24 +67,22 @@ def road_elevation(events: Sequence[Event], t: float,
     return Events(events).at("elevation", t)
 
 
-def measure(state: PlantState, prev_inputs: PlantInputs,
+def measure(x: List[float], prev_inputs: Inputs,
             p: VehicleParams) -> Dict[str, float]:
-    """Sensor picture at the current state: body rates and angles, inertial
+    """Sensor picture at the state list x: body rates and angles, inertial
     accelerations realized under the previously applied inputs, side slip,
     and tire normal loads."""
-    x = state.as_list()
     deriv = state_derivative(x, prev_inputs, p)
-    r = state.r
-    a_x = deriv[0] - r * state.Vy
-    a_y = deriv[1] + r * state.Vx
-    n = normal_forces((state.z_ufl, state.z_ufr, state.z_url, state.z_urr),
-                      prev_inputs.z_road, p)
+    v_x, v_y, r = x[0], x[1], x[2]
+    a_x = deriv[0] - r * v_y
+    a_y = deriv[1] + r * v_x
+    n = normal_forces(x[9:17:2], prev_inputs.z_road, p)
     return {
-        "Vx": state.Vx,
-        "beta": math.atan(state.Vy / _reg(state.Vx)),
+        "Vx": v_x,
+        "beta": math.atan(v_y / _reg(v_x)),
         "r": r,
-        "phi": state.phi, "phid": state.phid,
-        "theta": state.theta, "thetad": state.thetad,
+        "phi": x[5], "phid": x[6],
+        "theta": x[7], "thetad": x[8],
         "ax": a_x, "ay": a_y,
         "yaw_acc": deriv[2], "roll_acc": deriv[6], "pitch_acc": deriv[8],
         "F": p.m * a_x,
@@ -99,7 +98,7 @@ class _Loop:
     cs: ControllerState
     allocator: Optional[AdaptiveAllocator]
     # the previous command's allocated steer, before the driver's is added
-    steer_prev: Sequence[float] = field(init=False, default=(0.0,) * 4)
+    steer_prev: Sequence[float] = field(init=False, default=ZERO4)
 
     def command(self, delta_in: float, f_ref: float,
                 meas: Dict[str, float], dt: float, p: VehicleParams,
@@ -169,46 +168,31 @@ def run_scenario(scn: Scenario, controller: Optional[str] = None,
     loop = _Loop(mode=mode, gains=scn.gains, cs=ControllerState(),
                  allocator=allocator)
 
-    state = PlantState.cruising(scn.v0, p)
-    prev_inputs = PlantInputs(
-        lat_scale=friction_scale(scn.events, 0.0),
-        z_road=road_elevation(scn.events, 0.0))
+    # straight driving at v0 with freely rolling wheels
+    x = [scn.v0] + [0.0] * 16 + [scn.v0 / p.R_w] * 4 + [0.0] * 3
+    events, driver = scn.events, scn.driver
+    prev_inputs = Inputs(lat_scale=friction_scale(events, 0.0),
+                         z_road=road_elevation(events, 0.0))
     log = RunLog(scenario=scn.name, controller=mode, dt=dt)
 
     for k in range(n_steps):
         t = k * dt
-        meas = measure(state, prev_inputs, p)
-        delta_in = scn.driver.steer_at(t)
-        f_ref = scn.driver.force_ref(t)
+        meas = measure(x, prev_inputs, p)
+        delta_in = driver.steer_at(t)
+        f_ref = driver.force_ref(t)
         u_cmd, v, r_ref, resid = loop.command(delta_in, f_ref, meas, dt, p)
-        u_eff = apply_faults(u_cmd, scn.events, t)
-        inputs = PlantInputs.from_u(
-            u_eff,
-            lat_scale=friction_scale(scn.events, t),
-            z_road=road_elevation(scn.events, t))
-
-        row = {
-            "t": t, "Vx": state.Vx, "Vy": state.Vy, "r": state.r,
-            "beta": meas["beta"], "z": state.z, "phi": state.phi,
-            "theta": state.theta, "X": state.X, "Y": state.Y,
-            "psi": state.psi,
-            "d_fl": u_cmd[0], "d_fr": u_cmd[1], "d_rl": u_cmd[2],
-            "d_rr": u_cmd[3],
-            "T_fl": u_cmd[4], "T_fr": u_cmd[5], "T_rl": u_cmd[6],
-            "T_rr": u_cmd[7],
-            "fz_fl": u_cmd[8], "fz_fr": u_cmd[9], "fz_rl": u_cmd[10],
-            "fz_rr": u_cmd[11],
-            "N_fl": meas["N_fl"], "N_fr": meas["N_fr"],
-            "N_rl": meas["N_rl"], "N_rr": meas["N_rr"],
-            "v1": v[0], "v2": v[1], "v3": v[2], "v4": v[3], "v5": v[4],
-            "resid": resid,
-        }
-        log.append(row, r_ref)
-
-        state = step_rk4(state, inputs, p, dt)
-        if state.diverged:
-            log.mark_diverged(t + dt, "non-finite or out-of-bound state "
-                                      f"after step {k}")
+        u_eff = apply_faults(u_cmd, events, t)
+        inputs = Inputs(u_eff[0:4], u_eff[4:8], u_eff[8:12],
+                        road_elevation(events, t), friction_scale(events, t))
+        # one row in CSV_COLUMNS order
+        log.append([t, x[0], x[1], x[2], meas["beta"], x[3], x[5], x[7],
+                    x[21], x[22], x[23], *u_cmd, meas["N_fl"], meas["N_fr"],
+                    meas["N_rl"], meas["N_rr"], *v, resid], r_ref)
+        try:
+            x = step_rk4(x, inputs, p, dt)
+        except PlantDiverged as exc:
+            log.mark_diverged(t + dt, f"non-finite or out-of-bound state "
+                                      f"{exc} after step {k}")
             break
         if abs(meas["beta"]) >= beta_limit:
             log.mark_stopped(t, f"|beta| reached the limit of "

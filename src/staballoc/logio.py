@@ -46,9 +46,13 @@ class RunLog:
     def __len__(self) -> int:
         return len(self.cols["t"])
 
-    def append(self, values: Dict[str, float], r_ref: float) -> None:
-        for c in CSV_COLUMNS:
-            self.cols[c].append(values[c])
+    def append(self, row: Sequence[float], r_ref: float) -> None:
+        """Append one row given in CSV_COLUMNS order."""
+        if len(row) != len(CSV_COLUMNS):
+            raise ValueError(f"a row of {len(row)} values, not "
+                             f"{len(CSV_COLUMNS)}")
+        for col, value in zip(self.cols.values(), row):
+            col.append(value)
         self.r_ref.append(r_ref)
 
     def mark_stopped(self, t: float, reason: str) -> None:
@@ -74,9 +78,10 @@ def emit_csv(log: RunLog, path: str | Path) -> Path:
 
 
 def parse_csv(path: str | Path) -> Dict[str, List[float]]:
-    """Columns of a CSV written by emit_csv.  An empty file, or a row with
-    another number of cells than the header, raises ValueError naming the
-    file and the line."""
+    """Columns of a CSV written by emit_csv.  An empty file, a row with
+    another number of cells than the header, or a cell that is not a
+    number raises ValueError naming the file and the line; for a cell, the
+    column too."""
     path = Path(path)
     try:
         lines = path.read_text().splitlines()
@@ -93,8 +98,12 @@ def parse_csv(path: str | Path) -> Dict[str, List[float]]:
         if len(cells) != len(header):
             raise ValueError(f"{path}, line {number}: {len(cells)} cells, "
                              f"the header has {len(header)}")
-        for h, v in zip(header, cells):
-            data[h].append(float(v))
+        try:
+            for h, v in zip(header, cells):
+                data[h].append(float(v))
+        except ValueError:
+            raise ValueError(f"{path}, line {number}, column {h}: {v!r} "
+                             f"is not a number") from None
     return data
 
 

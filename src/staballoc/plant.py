@@ -14,13 +14,12 @@ Inertial pose (X, Y, psi) is carried along for trajectory logging.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from math import atan, cos, sin
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .params import VehicleParams
 
-# actuator envelope, applied when PlantInputs is built
+# actuator envelope, clamped once per step by harness.clip_u
 STEER_LIMIT = math.radians(30.0)   # rad
 TORQUE_LIMIT = 1500.0              # N m
 SUSPENSION_LIMIT = 5000.0          # N
@@ -29,60 +28,32 @@ BLOW_UP_LIMIT = 1.0e6  # any |state entry| beyond this marks the run diverged
 
 V_EPS = 0.1  # m/s, slip denominator floor
 
+# the plant state is a flat list of 24 floats in this order; the first 17
+# entries form the control-oriented state
 STATE_NAMES = (
     "Vx", "Vy", "r", "z", "zd", "phi", "phid", "theta", "thetad",
     "z_ufl", "zd_ufl", "z_ufr", "zd_ufr", "z_url", "zd_url", "z_urr", "zd_urr",
     "w_fl", "w_fr", "w_rl", "w_rr", "X", "Y", "psi",
 )
 
+ZERO4 = (0.0, 0.0, 0.0, 0.0)
 
-@dataclass
-class PlantState:
-    """Plant state; the first 17 entries form the control-oriented state."""
-    Vx: float = 0.0
-    Vy: float = 0.0
-    r: float = 0.0
-    z: float = 0.0
-    zd: float = 0.0
-    phi: float = 0.0
-    phid: float = 0.0
-    theta: float = 0.0
-    thetad: float = 0.0
-    z_ufl: float = 0.0
-    zd_ufl: float = 0.0
-    z_ufr: float = 0.0
-    zd_ufr: float = 0.0
-    z_url: float = 0.0
-    zd_url: float = 0.0
-    z_urr: float = 0.0
-    zd_urr: float = 0.0
-    w_fl: float = 0.0
-    w_fr: float = 0.0
-    w_rl: float = 0.0
-    w_rr: float = 0.0
-    X: float = 0.0
-    Y: float = 0.0
-    psi: float = 0.0
-    diverged: bool = False
 
-    def as_list(self) -> List[float]:
-        """The 24 state entries in STATE_NAMES order."""
-        return [self.Vx, self.Vy, self.r, self.z, self.zd, self.phi,
-                self.phid, self.theta, self.thetad,
-                self.z_ufl, self.zd_ufl, self.z_ufr, self.zd_ufr,
-                self.z_url, self.zd_url, self.z_urr, self.zd_urr,
-                self.w_fl, self.w_fr, self.w_rl, self.w_rr,
-                self.X, self.Y, self.psi]
+class Inputs(NamedTuple):
+    """Actuator and environment inputs, four per-wheel values each (fl, fr,
+    rl, rr), held constant over one step.  The actuator entries are taken
+    as given: the harness clamps them to the envelope (steering +-30 deg,
+    wheel torque +-1500 N m, suspension force +-5000 N) once, in clip_u."""
+    steer: Sequence[float] = ZERO4
+    torque: Sequence[float] = ZERO4
+    f_z: Sequence[float] = ZERO4
+    z_road: Sequence[float] = ZERO4
+    lat_scale: Sequence[float] = (1.0, 1.0, 1.0, 1.0)
 
-    @classmethod
-    def from_list(cls, values: Sequence[float]) -> "PlantState":
-        return cls(*values)
 
-    @classmethod
-    def cruising(cls, v0: float, p: VehicleParams) -> "PlantState":
-        """Straight driving at v0 with freely rolling wheels."""
-        w = v0 / p.R_w
-        return cls(Vx=v0, w_fl=w, w_fr=w, w_rl=w, w_rr=w)
+class PlantDiverged(ArithmeticError):
+    """A step left the plant state non-finite or beyond BLOW_UP_LIMIT; the
+    message names the first such entry in STATE_NAMES order, e.g. Vy=inf."""
 
 
 def _reg(x: float) -> float:
@@ -100,41 +71,6 @@ def clip(x: float, lim: float) -> float:
     if x < -lim:
         return -lim
     return x
-
-
-def _inside(xs: Sequence[float], lim: float) -> bool:
-    """True only if clipping xs to [-lim, lim] would leave every entry as
-    it is."""
-    return -lim <= min(xs) and max(xs) <= lim
-
-
-@dataclass(frozen=True)
-class PlantInputs:
-    """Actuator and environment inputs, held constant over one step.
-
-    Actuator entries are clamped to the physical envelope at construction:
-    steering +-30 deg, wheel torque +-1500 N m, suspension force +-5000 N.
-    """
-    steer: Tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
-    torque: Tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
-    f_z: Tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
-    z_road: Tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
-    lat_scale: Tuple[float, float, float, float] = (1.0, 1.0, 1.0, 1.0)
-
-    def __post_init__(self) -> None:
-        for name, lim in (("steer", STEER_LIMIT), ("torque", TORQUE_LIMIT),
-                          ("f_z", SUSPENSION_LIMIT)):
-            xs = getattr(self, name)
-            if type(xs) is not tuple or not _inside(xs, lim):
-                object.__setattr__(self, name,
-                                   tuple([clip(x, lim) for x in xs]))
-
-    @classmethod
-    def from_u(cls, u: Sequence[float], **env) -> "PlantInputs":
-        """Build from the 12-entry actuator vector
-        (d_fl, d_fr, d_rl, d_rr, T_fl..T_rr, fz_fl..fz_rr)."""
-        return cls(steer=tuple(u[0:4]), torque=tuple(u[4:8]),
-                   f_z=tuple(u[8:12]), **env)
 
 
 def normal_forces(z_u: Sequence[float], z_road: Sequence[float],
@@ -246,7 +182,7 @@ def chassis_derivative(x: Sequence[float], f_x: Sequence[float],
             zud0, zudd0, zud1, zudd1, zud2, zudd2, zud3, zudd3]
 
 
-def state_derivative(x: Sequence[float], u: PlantInputs,
+def state_derivative(x: Sequence[float], u: Inputs,
                      p: VehicleParams) -> List[float]:
     """Full state derivative; pure and deterministic in its arguments.
 
@@ -302,29 +238,29 @@ def state_derivative(x: Sequence[float], u: PlantInputs,
     return out
 
 
-def step_rk4(state: PlantState, inputs: PlantInputs, p: VehicleParams,
-             dt: float) -> PlantState:
-    """Advance one fixed step with inputs held constant (zero-order hold).
+def step_rk4(x: List[float], u: Inputs, p: VehicleParams,
+             dt: float) -> List[float]:
+    """Advance the state list one fixed step with the inputs held constant
+    (zero-order hold).
 
-    The diverged flag is raised, never silently clamped, when any entry of
-    the result is non-finite or exceeds the blow-up bound.
+    Raises PlantDiverged, never silently clamps, when any entry of the
+    result is non-finite or exceeds the blow-up bound.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    if state.diverged:
-        return state
     # classical RK4; each stage looks state_derivative up as a global
-    x = state.as_list()
-    k1 = state_derivative(x, inputs, p)
+    k1 = state_derivative(x, u, p)
     h = 0.5 * dt
-    k2 = state_derivative([xi + h * ki for xi, ki in zip(x, k1)], inputs, p)
-    k3 = state_derivative([xi + h * ki for xi, ki in zip(x, k2)], inputs, p)
-    k4 = state_derivative([xi + dt * ki for xi, ki in zip(x, k3)], inputs, p)
+    k2 = state_derivative([xi + h * ki for xi, ki in zip(x, k1)], u, p)
+    k3 = state_derivative([xi + h * ki for xi, ki in zip(x, k2)], u, p)
+    k4 = state_derivative([xi + dt * ki for xi, ki in zip(x, k3)], u, p)
     s = dt / 6.0
     nxt = [xi + s * (a + 2.0 * (b + c) + d)
            for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
     # a finite sum means every entry is finite (inf or NaN would propagate)
     if not (math.isfinite(sum(nxt))
             and -BLOW_UP_LIMIT <= min(nxt) and max(nxt) <= BLOW_UP_LIMIT):
-        return replace(state, diverged=True)
-    return PlantState.from_list(nxt)
+        name, value = next((n, v) for n, v in zip(STATE_NAMES, nxt)
+                           if not -BLOW_UP_LIMIT <= v <= BLOW_UP_LIMIT)
+        raise PlantDiverged(f"{name}={value!r}")
+    return nxt

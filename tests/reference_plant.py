@@ -12,7 +12,7 @@ import math
 from typing import Callable, List, Sequence, Tuple
 
 from staballoc.params import VehicleParams
-from staballoc.plant import PlantInputs, _reg, normal_forces
+from staballoc.plant import Inputs, _reg, normal_forces
 
 # ---------------------------------------------------------------------------
 # tire primitives
@@ -206,7 +206,7 @@ def chassis_derivative(x: Sequence[float], f_x: Sequence[float],
     ]
 
 
-def state_derivative(x: Sequence[float], u: PlantInputs,
+def state_derivative(x: Sequence[float], u: Inputs,
                      p: VehicleParams) -> List[float]:
     """Full state derivative; pure and deterministic in its arguments."""
     v_x, v_y, r = x[0], x[1], x[2]

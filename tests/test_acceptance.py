@@ -11,6 +11,7 @@ import pytest
 
 import golden
 from effort_map import build_by, lyapunov_value, theta_star
+from plant_state import PlantState
 from staballoc.allocator import AdaptiveAllocator, AllocatorConfig, \
     solve_lyapunov
 from staballoc.cli import FIGURE_PAIRS
@@ -21,7 +22,7 @@ from staballoc.linmodel import build_bl, build_bn, linearize, \
 from staballoc.logio import emit_csv
 from staballoc.metrics import compute_metrics
 from staballoc.params import VehicleParams
-from staballoc.plant import PlantInputs, PlantState, normal_forces, step_rk4
+from staballoc.plant import Inputs, normal_forces, step_rk4
 from staballoc.scenario import load_scenario
 from staballoc.stability import max_closed_loop_eig
 
@@ -46,10 +47,11 @@ def runs(scenario_dir):
 
 
 def test_criterion_1_static_physics():
-    state = PlantState(z=5e-5, phi=0.02, theta=5e-4)
-    inputs = PlantInputs()
+    x = PlantState(z=5e-5, phi=0.02, theta=5e-4).as_list()
+    inputs = Inputs()
     for _ in range(5000):
-        state = step_rk4(state, inputs, P, 1e-3)
+        x = step_rk4(x, inputs, P, 1e-3)
+    state = PlantState.from_list(x)
     n = normal_forces((state.z_ufl, state.z_ufr, state.z_url, state.z_urr),
                       (0.0,) * 4, P)
     weight_err = abs(sum(n) - P.weight) / P.weight
@@ -202,14 +204,14 @@ def test_criterion_8_linear_closed_loop_stability():
 
 def test_criterion_9_numerical_hygiene(runs, scenario_dir, tmp_path):
     # RK4 observed order on a smooth suspension transient
-    x0 = PlantState(z=0.02, phi=0.01, theta=0.005)
-    u = PlantInputs()
+    x0 = PlantState(z=0.02, phi=0.01, theta=0.005).as_list()
+    u = Inputs()
 
     def solve(dt, t_end=0.1):
-        s = x0
+        x = x0
         for _ in range(int(round(t_end / dt))):
-            s = step_rk4(s, u, P, dt)
-        return s.as_list()
+            x = step_rk4(x, u, P, dt)
+        return x
 
     ref = solve(3.125e-5)
     errs = [math.sqrt(sum((a - b) ** 2 for a, b in zip(solve(dt), ref)))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference_profile import profile_value
 from staballoc.controllers import (ControllerState, DriverInput, Gains,
                                    PiecewiseLinear, baseline_rear_steer,
                                    baseline_suspension, baseline_traction,
@@ -39,6 +40,33 @@ class TestProfiles:
         # the sort check
         with pytest.raises(ConfigError, match="finite"):
             PiecewiseLinear(points)
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_bisect_equals_the_scan(self, data):
+        # breakpoint times on and off the step grid, some repeated; probes
+        # at every breakpoint and one ulp either side, past both ends and
+        # on the k * dt grid the harness evaluates
+        dt = data.draw(st.sampled_from([1e-3, 2e-3, 5e-3]))
+        time = st.one_of(st.integers(-500, 4000).map(lambda k: k * dt),
+                         st.floats(-0.5, 4.0))
+        times = sorted(data.draw(st.lists(time, min_size=1, max_size=8)))
+        for _ in range(data.draw(st.integers(0, 3))):
+            times.insert(0, data.draw(st.sampled_from(times)))
+        times.sort()
+        values = data.draw(st.lists(
+            st.floats(allow_nan=False, allow_infinity=False),
+            min_size=len(times), max_size=len(times)))
+        points = tuple(zip(times, values))
+        prof = PiecewiseLinear(points)
+        probes = [math.nan, -math.inf, math.inf, times[0] - 1.0,
+                  times[-1] + 1.0]
+        for tb in times:
+            probes += [tb, math.nextafter(tb, -math.inf),
+                       math.nextafter(tb, math.inf)]
+        probes += [k * dt for k in range(int(4.2 / dt))]
+        for t in probes:
+            assert prof(t).hex() == profile_value(points, t).hex(), t
 
     def test_driver_force_is_pedal_minus_brake(self):
         drv = DriverInput(steer=PiecewiseLinear.constant(0.0),

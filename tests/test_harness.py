@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -8,22 +9,24 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from plant_state import PlantState
 from staballoc import harness
 from staballoc.allocator import AdaptiveAllocator, AllocatorConfig, \
     measured_net
 from staballoc.cli import main as cli_main
 from staballoc.controllers import ControllerState, Gains
-from staballoc.harness import (BETA_LIMIT, _Loop, apply_faults, clip_u,
-                               friction_scale, measure, road_elevation,
-                               run_scenario, sweep_max_speed)
+from staballoc.harness import (BETA_LIMIT, U_LIMITS, _Loop, apply_faults,
+                               clip_u, friction_scale, measure,
+                               road_elevation, run_scenario, sweep_max_speed)
 from staballoc.linmodel import build_bl, build_bn
 from staballoc.logio import CSV_COLUMNS, RunLog
 from staballoc.metrics import compute_metrics
 from staballoc.params import VehicleParams
-from staballoc.plant import PlantInputs, PlantState, step_rk4
-from staballoc.scenario import (ConfigError, Event, load_scenario,
-                                parse_scenario)
+from staballoc.plant import BLOW_UP_LIMIT, STATE_NAMES, Inputs, step_rk4
+from staballoc.scenario import (ACTUATOR_NAMES, ConfigError, Event,
+                                load_scenario, parse_scenario)
 from staballoc.stability import max_closed_loop_eig
 
 SHORT = """
@@ -81,6 +84,24 @@ class TestFaultInjection:
         assert friction_scale(events, 3.0) == (1.0, 1.0, 1.0, 1.0)
         assert friction_scale(events, 4.0) == (1.0, 0.6, 1.0, 0.6)
 
+    @given(u=st.lists(st.floats(), min_size=12, max_size=12),
+           faults=st.lists(st.tuples(st.sampled_from(ACTUATOR_NAMES),
+                                     st.floats(0.0, 1.0, exclude_min=True)),
+                           max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_one_clamp_holds_the_envelope(self, u, faults):
+        # the loop clamps the command once; a fault factor in (0, 1] never
+        # takes it out of the envelope, and NaN passes through both
+        events = tuple(Event(0.5, "effectiveness", target, factor)
+                       for target, factor in faults)
+        out = apply_faults(clip_u(u), events, 1.0)
+        assert len(out) == 12
+        for x, y, lim in zip(u, out, U_LIMITS):
+            if math.isnan(x):
+                assert math.isnan(y)
+            else:
+                assert -lim <= y <= lim
+
     def test_elevation_steps_accumulate(self):
         events = (Event(1.0, "elevation", "fl", 0.02),
                   Event(2.0, "elevation", "fl", 0.01))
@@ -93,11 +114,11 @@ class TestMeasurements:
     def test_side_slip_definition(self, params):
         s = PlantState.cruising(20.0, params)
         s.Vy = 1.0
-        meas = measure(s, PlantInputs(), params)
+        meas = measure(s.as_list(), Inputs(), params)
         assert meas["beta"] == pytest.approx(math.atan(1.0 / 20.0))
 
     def test_normals_at_rest(self, params):
-        meas = measure(PlantState(), PlantInputs(), params)
+        meas = measure(PlantState().as_list(), Inputs(), params)
         assert meas["N_fl"] == pytest.approx(params.N_front_static)
 
     def test_traction_step_on_level_road_recovers_torque_force(self):
@@ -108,11 +129,11 @@ class TestMeasurements:
         p = VehicleParams(C_d=1e-12, p0=0.0, p1=0.0, p2=0.0)
         torque = 200.0
         total = 4.0 * torque / p.R_w
-        u = PlantInputs(torque=(torque,) * 4)
-        s = PlantState.cruising(15.0, p)
+        u = Inputs(torque=(torque,) * 4)
+        x = PlantState.cruising(15.0, p).as_list()
         for _ in range(1000):
-            s = step_rk4(s, u, p, 1e-3)
-        meas = measure(s, u, p)
+            x = step_rk4(x, u, p, 1e-3)
+        meas = measure(x, u, p)
         net = measured_net(meas["ax"], meas["ay"], meas["yaw_acc"],
                            meas["roll_acc"], meas["pitch_acc"],
                            meas["Vx"], p)
@@ -125,7 +146,7 @@ class TestDriverSteer:
         # the proposed command is the allocator's output with the driver's
         # steer added on the two front steering channels only
         b_l = build_bl(params)
-        meas = measure(PlantState.cruising(20.0, params), PlantInputs(),
+        meas = measure(PlantState.cruising(20.0, params).as_list(), Inputs(),
                        params)
         loop = _Loop(mode="proposed", gains=Gains(), cs=ControllerState(),
                      allocator=AdaptiveAllocator(b_l, AllocatorConfig()))
@@ -191,6 +212,36 @@ class TestRunScenario:
         assert log.stopped_at is not None
         assert len(log) < 20
         assert all(math.isfinite(v) for v in log.cols["Vx"])
+        # the reason names the first bad state entry and its value
+        found = re.fullmatch(r"non-finite or out-of-bound state "
+                             r"(\w+)=(\S+) after step (\d+)",
+                             log.stop_reason)
+        assert found, log.stop_reason
+        name, value, step = found.groups()
+        assert name in STATE_NAMES
+        assert not -BLOW_UP_LIMIT <= float(value) <= BLOW_UP_LIMIT
+        assert int(step) == len(log) - 1
+
+    def test_applied_inputs_stay_inside_the_envelope(self, scenario_dir):
+        # every input the plant is stepped with, after the fault scaling,
+        # lies inside the envelope that clip_u clamped the command to; the
+        # run pushes the command of the faulted rear-right steer onto its
+        # bound and a healthy channel's applied input onto its own
+        scn = load_scenario(scenario_dir / "actuator_fault.scn")
+        applied = []
+
+        def recording(x, u, p, dt):
+            applied.append([*u.steer, *u.torque, *u.f_z])
+            return step_rk4(x, u, p, dt)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(harness, "step_rk4", recording)
+            log = run_scenario(scn, controller="proposed")
+        assert len(applied) == len(log) == 10000
+        for u in applied:
+            for x, lim in zip(u, U_LIMITS):
+                assert -lim <= x <= lim
+        assert any(abs(u[1]) == U_LIMITS[1] for u in applied)
+        assert any(abs(d) == U_LIMITS[3] for d in log.cols["d_rr"])
 
     def test_repeated_runs_are_bit_identical(self):
         scn = parse_scenario(SHORT)
@@ -299,7 +350,7 @@ class TestMetrics:
             row["t"] = k * 0.001
             row["psi"] = psi
             row["X"] = x_step * k
-            log.append(row, 0.0)
+            log.append([row[c] for c in CSV_COLUMNS], 0.0)
         return log
 
     def test_zero_log_has_zero_metrics(self):

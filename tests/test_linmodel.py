@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from effort_map import ZEROED_ROWS, build_by, build_d, linear_model
+from plant_state import PlantState
 from staballoc.linmodel import (bn_is_invertible, build_bl, build_bn,
                                 build_bv, linearize, reduced_derivative)
-from staballoc.plant import PlantInputs, PlantState, state_derivative
+from staballoc.plant import Inputs, state_derivative
 
 STATIC_STEER = (0.0, 0.0, 0.0, 0.0)
 
@@ -37,7 +38,8 @@ class TestOneModel:
             u[0:4] = rng.uniform(-0.4, 0.4, 4)
             u[8:12] = rng.uniform(-4000.0, 4000.0, 4)
             x = s.as_list()
-            full = state_derivative(x, PlantInputs.from_u(u), params)
+            full = state_derivative(x, Inputs(u[0:4], u[4:8], u[8:12]),
+                                    params)
             red = reduced_derivative(x[:17], u, params)
             np.testing.assert_allclose(full[:17], red, rtol=1e-9, atol=0.0)
 

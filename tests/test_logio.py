@@ -17,8 +17,25 @@ def make_log(n=20):
         row.update({"t": t, "Vx": 13.0 + 0.1 * k, "X": 1.3 * k,
                     "Y": math.sin(0.2 * k), "beta": 1e-3 * k,
                     "N_fl": 3507.075, "resid": 0.5 / (k + 1)})
-        log.append(row, 0.0)
+        log.append([row[c] for c in CSV_COLUMNS], 0.0)
     return log
+
+
+class TestRunLog:
+    def test_append_takes_a_row_in_csv_order(self):
+        log = RunLog()
+        log.append([float(i) for i in range(len(CSV_COLUMNS))], -1.0)
+        assert [log.cols[c] for c in CSV_COLUMNS] == \
+            [[float(i)] for i in range(len(CSV_COLUMNS))]
+        assert log.r_ref == [-1.0] and len(log) == 1
+
+    @pytest.mark.parametrize("width", [32, 34])
+    def test_row_of_another_width_is_rejected_whole(self, width):
+        log = RunLog()
+        with pytest.raises(ValueError, match=f"a row of {width} values"):
+            log.append([0.0] * width, 0.0)
+        assert all(col == [] for col in log.cols.values())
+        assert log.r_ref == []
 
 
 class TestCsv:
@@ -76,6 +93,15 @@ class TestCsv:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=rf"ragged\.csv, line 4: {width} "
                                              rf"cells, the header has 33"):
+            parse_csv(path)
+
+    @pytest.mark.parametrize("cell", ["abc", "", "1.0.0"])
+    def test_cell_that_is_not_a_number_names_file_line_and_column(
+            self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"t,Vx\n0.0,1.0\n0.001,{cell}\n")
+        with pytest.raises(ValueError, match=rf"bad\.csv, line 3, column Vx: "
+                                             rf"{cell!r} is not a number"):
             parse_csv(path)
 
     def test_io_error_has_path_context(self, tmp_path):

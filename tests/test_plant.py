@@ -1,17 +1,20 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_plant as ref
+from plant_state import PlantState
 from reference_plant import (body_accelerations, longitudinal_slip,
                              magic_formula, rk4, slip_angles,
                              vertical_derivatives, wheel_spin_derivative,
                              yaw_acceleration)
+from staballoc.harness import clip_u
 from staballoc.linmodel import reduced_derivative
 from staballoc.params import G, VehicleParams
-from staballoc.plant import (STATE_NAMES, V_EPS, PlantInputs, PlantState,
+from staballoc.plant import (STATE_NAMES, V_EPS, Inputs, PlantDiverged,
                              normal_forces, state_derivative, step_rk4)
 
 ZERO4 = (0.0, 0.0, 0.0, 0.0)
@@ -40,38 +43,51 @@ class TestParams:
             VehicleParams(c_sf=-1.0)
 
 
-class TestInputs:
-    def test_saturation_applied_at_construction(self):
-        u = PlantInputs(steer=(1.0, -1.0, 0.1, 0.0),
-                        torque=(2000.0, -2000.0, 0.0, 0.0),
-                        f_z=(9000.0, -9000.0, 0.0, 0.0))
+class TestEnvelope:
+    """The actuator envelope has one home, harness.clip_u, applied once per
+    step to the command; the plant takes its inputs as given."""
+
+    def test_saturation_applied_by_clip_u(self):
+        u = clip_u([1.0, -1.0, 0.1, 0.0, 2000.0, -2000.0, 0.0, 0.0,
+                    9000.0, -9000.0, 0.0, 0.0])
         lim = math.radians(30.0)
-        assert u.steer[0] == pytest.approx(lim)
-        assert u.steer[1] == pytest.approx(-lim)
-        assert u.steer[2] == 0.1
-        assert u.torque[0] == 1500.0 and u.torque[1] == -1500.0
-        assert u.f_z[0] == 5000.0 and u.f_z[1] == -5000.0
+        assert u[0] == pytest.approx(lim)
+        assert u[1] == pytest.approx(-lim)
+        assert u[2] == 0.1
+        assert u[4] == 1500.0 and u[5] == -1500.0
+        assert u[8] == 5000.0 and u[9] == -5000.0
 
     def test_inputs_inside_the_envelope_are_kept(self):
-        steer = (0.1, -0.2, 0.0, -0.0)
-        u = PlantInputs(steer=steer, torque=(1500.0, -1500.0, 3.0, 0.0))
-        assert u.steer is steer
-        assert u.torque == (1500.0, -1500.0, 3.0, 0.0)
-        assert math.copysign(1.0, u.steer[3]) == -1.0
+        steer = [0.1, -0.2, 0.0, -0.0]
+        u = clip_u(steer + [1500.0, -1500.0, 3.0, 0.0] + [0.0] * 4)
+        assert u[0:4] == steer
+        assert u[4:8] == [1500.0, -1500.0, 3.0, 0.0]
+        assert math.copysign(1.0, u[3]) == -1.0
 
-    def test_sequences_become_tuples(self):
-        u = PlantInputs(steer=[0.1, 0.0, 0.0, 0.0], f_z=[9000.0, 0, 0, 0])
-        assert u.steer == (0.1, 0.0, 0.0, 0.0)
-        assert u.f_z == (5000.0, 0, 0, 0)
+    def test_any_sequence_becomes_a_list(self):
+        for seq in (tuple, list, np.array):
+            u = clip_u(seq([0.1, 0.0, 0.0, 0.0] + [0.0] * 4
+                           + [9000.0, 0.0, 0.0, 0.0]))
+            assert type(u) is list and len(u) == 12
+            assert u[0:4] == [0.1, 0.0, 0.0, 0.0]
+            assert u[8:12] == [5000.0, 0.0, 0.0, 0.0]
 
     @pytest.mark.parametrize("order", [0, 1, 2, 3])
     def test_nan_passes_the_envelope(self, order):
         torque = [1.0, 2000.0, -3.0, 0.0]
         torque.insert(order, math.nan)
-        u = PlantInputs(torque=tuple(torque[:4]))
-        assert math.isnan(u.torque[order])
-        assert all(abs(t) <= 1500.0 for t in u.torque
+        u = clip_u([0.0] * 4 + torque[:4] + [0.0] * 4)
+        assert math.isnan(u[4 + order])
+        assert all(abs(t) <= 1500.0 for t in u[4:8]
                    if not math.isnan(t))
+
+    def test_inputs_are_not_clamped_again(self, params):
+        # a torque beyond the envelope reaches the wheel as given
+        x = PlantState().as_list()
+        d = state_derivative(x, Inputs(torque=(3000.0, 0.0, 0.0, 0.0)),
+                             params)
+        assert d[17] == pytest.approx(2.0 * state_derivative(
+            x, Inputs(torque=(1500.0, 0.0, 0.0, 0.0)), params)[17])
 
 
 class TestStateVector:
@@ -79,16 +95,17 @@ class TestStateVector:
         s = PlantState(*[float(i) for i in range(len(STATE_NAMES))])
         assert s.as_list() == [getattr(s, n) for n in STATE_NAMES]
         assert PlantState.from_list(s.as_list()) == s
+        assert len(s.as_list()) == len(STATE_NAMES) == 24
 
 
 class TestPointwiseDynamics:
     def test_rest_equilibrium_has_zero_derivative(self, params):
-        d = state_derivative(PlantState().as_list(), PlantInputs(), params)
+        d = state_derivative(PlantState().as_list(), Inputs(), params)
         assert max(abs(v) for v in d) == 0.0
 
     def test_pure_drag_deceleration(self, params):
         s = PlantState.cruising(20.0, params)
-        d = state_derivative(s.as_list(), PlantInputs(), params)
+        d = state_derivative(s.as_list(), Inputs(), params)
         drag = 0.5 * 0.3 * 1.225 * 2.2 * 400.0
         assert drag == pytest.approx(161.7, abs=0.01)
         assert d[0] == pytest.approx(-drag / 1300.0)
@@ -171,13 +188,11 @@ class TestNormalForces:
 
 class TestForceBounds:
     def test_tire_forces_below_friction_peak_during_maneuver(self, params):
-        s = PlantState.cruising(15.0, params)
-        u = PlantInputs(steer=(0.08, 0.08, 0.0, 0.0),
-                        torque=(300.0,) * 4)
+        x = PlantState.cruising(15.0, params).as_list()
+        u = Inputs(steer=(0.08, 0.08, 0.0, 0.0), torque=(300.0,) * 4)
         for k in range(600):
-            s = step_rk4(s, u, params, 1e-3)
+            x = step_rk4(x, u, params, 1e-3)
             if k % 50 == 0:
-                x = s.as_list()
                 normals = normal_forces(x[9:17:2], u.z_road, params)
                 alphas = slip_angles(x[0], x[1], x[2], u.steer, params)
                 for i in range(4):
@@ -198,22 +213,21 @@ class TestIntegrator:
         assert x[0] == pytest.approx(math.exp(-0.1), abs=1e-7)
 
     def test_zero_derivative_fixed_point(self, params):
-        s = PlantState()
-        s2 = step_rk4(s, PlantInputs(), params, 1e-3)
-        assert s2.as_list() == s.as_list()
+        x = PlantState().as_list()
+        assert step_rk4(x, Inputs(), params, 1e-3) == x
 
     def test_convergence_order(self, params):
         # free suspension transient: smooth, oscillatory, and short enough
         # that the strongly damped wheel-hop modes have not yet contracted
         # away the accumulated error
-        u = PlantInputs()
-        x0 = PlantState(z=0.02, phi=0.01, theta=0.005)
+        u = Inputs()
+        x0 = PlantState(z=0.02, phi=0.01, theta=0.005).as_list()
 
         def solve(dt, t_end=0.1):
-            s = x0
+            x = x0
             for _ in range(int(round(t_end / dt))):
-                s = step_rk4(s, u, params, dt)
-            return s.as_list()
+                x = step_rk4(x, u, params, dt)
+            return x
 
         ref = solve(3.125e-5)
         errs = []
@@ -225,31 +239,47 @@ class TestIntegrator:
         for p_obs in orders:
             assert 3.5 <= p_obs <= 4.5
 
-    def test_divergence_flag_on_unstable_step(self, params):
+    def test_divergence_raised_on_unstable_step(self, params):
         # 50 ms steps are far beyond the stability limit of the
         # wheel-hop modes
-        s = PlantState(z=0.01)
-        u = PlantInputs()
-        for _ in range(200):
-            s = step_rk4(s, u, params, 0.05)
-            if s.diverged:
-                break
-        assert s.diverged
+        x = PlantState(z=0.01).as_list()
+        u = Inputs()
+        with pytest.raises(PlantDiverged):
+            for _ in range(200):
+                x = step_rk4(x, u, params, 0.05)
 
-    def test_diverged_state_is_sticky(self, params):
-        s = PlantState(z=float("nan"))
-        s2 = step_rk4(s, PlantInputs(), params, 1e-3)
-        assert s2.diverged
-        s3 = step_rk4(s2, PlantInputs(), params, 1e-3)
-        assert s3.diverged
+    def test_non_finite_state_raises_on_every_step(self, params):
+        x = PlantState(z=float("nan")).as_list()
+        for _ in range(2):
+            with pytest.raises(PlantDiverged):
+                step_rk4(x, Inputs(), params, 1e-3)
+
+    @pytest.mark.parametrize("entry, value, reason", [
+        # NaN spreads into Vx' (through r*Vy and the tire forces), and Vx
+        # comes before the entry that was set
+        ("Vy", math.nan, "Vx=nan"),
+        ("w_rr", math.inf, "Vx=nan"),
+        # the pose feeds no derivative, so it is the only bad entry
+        ("X", 2e6, "X=2000000.0"),
+        ("Y", -math.inf, "Y=-inf"),
+        ("psi", -1.5e6, "psi=-1500000.0"),
+    ])
+    def test_divergence_names_the_first_bad_entry(self, params, entry,
+                                                  value, reason):
+        x = PlantState().as_list()
+        x[STATE_NAMES.index(entry)] = value
+        with pytest.raises(PlantDiverged) as err:
+            step_rk4(x, Inputs(), params, 1e-3)
+        assert str(err.value) == reason
 
 
 class TestTrajectoryInvariants:
     def test_settles_from_perturbation(self, params):
-        s = PlantState(z=5e-5, phi=0.02, theta=5e-4)
-        u = PlantInputs()
+        x = PlantState(z=5e-5, phi=0.02, theta=5e-4).as_list()
+        u = Inputs()
         for _ in range(5000):
-            s = step_rk4(s, u, params, 1e-3)
+            x = step_rk4(x, u, params, 1e-3)
+        s = PlantState.from_list(x)
         assert abs(s.zd) < 1e-6
         assert abs(s.phid) < 1e-6
         assert abs(s.thetad) < 1e-6
@@ -259,12 +289,13 @@ class TestTrajectoryInvariants:
 
     def test_mirror_symmetry(self, params):
         def run(sign):
-            s = PlantState.cruising(15.0, params)
-            u = PlantInputs(steer=(sign * 0.05,) * 4)
+            x = PlantState.cruising(15.0, params).as_list()
+            u = Inputs(steer=(sign * 0.05,) * 4)
             out = []
             for k in range(1500):
-                s = step_rk4(s, u, params, 1e-3)
+                x = step_rk4(x, u, params, 1e-3)
                 if k % 100 == 0:
+                    s = PlantState.from_list(x)
                     out.append((s.Y, s.psi, s.phi, s.Vy))
             return out
 
@@ -279,8 +310,8 @@ class TestTrajectoryInvariants:
     def test_derivative_is_deterministic(self, params):
         s = PlantState.cruising(17.3, params)
         s.phi = 0.01
-        u = PlantInputs(steer=(0.03, 0.03, -0.01, -0.01),
-                        torque=(120.0, 80.0, 60.0, 40.0))
+        u = Inputs(steer=(0.03, 0.03, -0.01, -0.01),
+                   torque=(120.0, 80.0, 60.0, 40.0))
         d1 = state_derivative(s.as_list(), u, params)
         d2 = state_derivative(s.as_list(), u, params)
         assert d1 == d2
@@ -298,6 +329,13 @@ def hexes(values):
 
 def signed(bound):
     return st.floats(-bound, bound)
+
+
+def clamped(steer, torque, f_z, **env):
+    """Inputs as the harness builds them, the command clamped by clip_u;
+    draws beyond the envelope land on its bounds."""
+    u = clip_u([*steer, *torque, *f_z])
+    return Inputs(u[0:4], u[4:8], u[8:12], **env)
 
 
 @st.composite
@@ -331,7 +369,7 @@ def kernel_cases(draw):
             st.floats(-150.0, -0.001),              # reversed
             signed(150.0))))
     x += [draw(signed(500.0)), draw(signed(500.0)), draw(signed(7.0))]
-    u = PlantInputs(
+    u = clamped(
         steer=tuple(draw(signed(0.6)) for _ in range(4)),
         torque=tuple(draw(signed(1600.0)) for _ in range(4)),
         f_z=tuple(draw(signed(5500.0)) for _ in range(4)),
@@ -380,10 +418,10 @@ class TestKernel:
         for k in range(3000):
             p = fleet[k % len(fleet)]
             x = [rng.uniform(-s, s) for s in scales]
-            u = PlantInputs(steer=draw(0.6), torque=draw(1500.0),
-                            f_z=draw(5000.0), z_road=draw(0.03),
-                            lat_scale=tuple(rng.uniform(0.05, 1.0)
-                                            for _ in range(4)))
+            u = clamped(steer=draw(0.6), torque=draw(1500.0),
+                        f_z=draw(5000.0), z_road=draw(0.03),
+                        lat_scale=tuple(rng.uniform(0.05, 1.0)
+                                        for _ in range(4)))
             assert hexes(state_derivative(x, u, p)) == \
                 hexes(ref.state_derivative(x, u, p)), k
             expected = ref.chassis_derivative(
@@ -398,6 +436,8 @@ class TestKernel:
     def test_rk4_step_matches_reference(self, case, dt):
         p, x, u = case
         expected = ref.rk4(lambda v: ref.state_derivative(v, u, p), x, dt)
-        s = step_rk4(PlantState.from_list(x), u, p, dt)
-        if not s.diverged:
-            assert hexes(s.as_list()) == hexes(expected)
+        try:
+            nxt = step_rk4(x, u, p, dt)
+        except PlantDiverged:
+            return
+        assert hexes(nxt) == hexes(expected)
