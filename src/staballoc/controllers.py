@@ -50,10 +50,6 @@ class PiecewiseLinear:
         (t0, v0), (t1, v1) = pts[i - 1], pts[i]
         return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
 
-    @classmethod
-    def constant(cls, value: float) -> "PiecewiseLinear":
-        return cls(((0.0, value),))
-
 
 @dataclass(frozen=True)
 class DriverInput:
@@ -148,15 +144,6 @@ class ControllerState:
     i_pitch_base: float = 0.0
 
 
-def _accumulate(acc: float, err: float, dt: float, bound: float) -> float:
-    acc += err * dt
-    if acc > bound:
-        return bound
-    if acc < -bound:
-        return -bound
-    return acc
-
-
 def yaw_rate_reference(delta_in: float, v_x: float, g: Gains,
                        p: VehicleParams) -> float:
     """Steady-state yaw-rate reference from the linear single-track model,
@@ -183,25 +170,25 @@ def virtual_control(delta_in: float, f_ref: float, meas: Dict[str, float],
     r_ref = yaw_rate_reference(delta_in, meas["Vx"], g, p)
 
     f_err = f_ref - meas["F"]
-    cs.i_force = _accumulate(cs.i_force, f_err, dt, g.i_max_f)
+    cs.i_force = clip(cs.i_force + f_err * dt, g.i_max_f)
     f_c = g.kp_f * f_err + g.ki_f * cs.i_force
 
     beta = meas["beta"]
     r_err = r_ref - meas["r"]
-    cs.i_yaw = _accumulate(cs.i_yaw, r_err, dt, g.i_max_r)
-    cs.i_beta_mz = _accumulate(cs.i_beta_mz, beta, dt, g.i_max_beta)
+    cs.i_yaw = clip(cs.i_yaw + r_err * dt, g.i_max_r)
+    cs.i_beta_mz = clip(cs.i_beta_mz + beta * dt, g.i_max_beta)
     m1 = g.kp_mz * r_err + g.ki_mz * cs.i_yaw
     m2 = g.kp_beta_mz * beta + g.ki_beta_mz * cs.i_beta_mz
     m_z = m1 + m2
 
-    cs.i_beta_fy = _accumulate(cs.i_beta_fy, beta, dt, g.i_max_beta)
+    cs.i_beta_fy = clip(cs.i_beta_fy + beta * dt, g.i_max_beta)
     f_yc = -g.kp_fy * beta - g.ki_fy * cs.i_beta_fy
 
-    cs.i_roll = _accumulate(cs.i_roll, meas["phi"], dt, g.i_max_roll)
+    cs.i_roll = clip(cs.i_roll + meas["phi"] * dt, g.i_max_roll)
     m_x = -g.kp_roll * meas["phi"] - g.kd_roll * meas["phid"] \
         - g.ki_roll * cs.i_roll
 
-    cs.i_pitch = _accumulate(cs.i_pitch, meas["theta"], dt, g.i_max_pitch)
+    cs.i_pitch = clip(cs.i_pitch + meas["theta"] * dt, g.i_max_pitch)
     m_y = -g.kp_pitch * meas["theta"] - g.kd_pitch * meas["thetad"] \
         - g.ki_pitch * cs.i_pitch
 
@@ -238,8 +225,8 @@ def baseline_suspension(theta: float, phi: float, g: Gains,
     """Independent roll/pitch PI control mapped to the four corners."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    cs.i_pitch_base = _accumulate(cs.i_pitch_base, theta, dt, g.i_max_pitch)
-    cs.i_roll_base = _accumulate(cs.i_roll_base, phi, dt, g.i_max_roll)
+    cs.i_pitch_base = clip(cs.i_pitch_base + theta * dt, g.i_max_pitch)
+    cs.i_roll_base = clip(cs.i_roll_base + phi * dt, g.i_max_roll)
     f_pitch = -g.kp_pitch_base * theta - g.ki_pitch_base * cs.i_pitch_base
     f_roll = -g.kp_roll_base * phi - g.ki_roll_base * cs.i_roll_base
     return (-f_pitch + f_roll,

@@ -29,54 +29,43 @@ from .linmodel import build_bl, build_bn
 from .logio import RunLog
 from .metrics import compute_metrics
 from .params import VehicleParams
-from .plant import (STEER_LIMIT, SUSPENSION_LIMIT, TORQUE_LIMIT, ZERO4,
-                    Inputs, PlantDiverged, _reg, clip, normal_forces,
-                    state_derivative, step_rk4)
-from .scenario import (ConfigError, Event, Events, Scenario, check_events,
-                       check_step)
+from .plant import (ZERO4, Inputs, PlantDiverged, _reg, clip_u,
+                    normal_forces, state_derivative, step_rk4)
+from .scenario import ConfigError, Events, Scenario, check_events, check_step
 
 BETA_LIMIT = math.radians(15.0)  # a sweep run survives below this max|beta|
 
-U_LIMITS = (STEER_LIMIT,) * 4 + (TORQUE_LIMIT,) * 4 + (SUSPENSION_LIMIT,) * 4
 
-
-def clip_u(u: Sequence[float]) -> List[float]:
-    """The 12-entry actuator vector clamped to the physical envelope."""
-    return [clip(x, lim) for x, lim in zip(u, U_LIMITS)]
-
-
-def apply_faults(u_commanded: Sequence[float], events: Sequence[Event],
+def apply_faults(u_commanded: Sequence[float], events: Events,
                  t: float) -> List[float]:
     """A copy of the command list scaled element-wise by the active fault
     events, one factor at a time in event order."""
     u = list(u_commanded)
-    for i, factor in Events(events).faults_at(t):
+    for i, factor in events.faults_at(t):
         u[i] *= factor
     return u
 
 
-def friction_scale(events: Sequence[Event], t: float,
+def friction_scale(events: Events, t: float,
                    ) -> Tuple[float, float, float, float]:
     """Per-tire lateral friction multipliers from the active events."""
-    return Events(events).at("friction", t)
+    return events.at("friction", t)
 
 
-def road_elevation(events: Sequence[Event], t: float,
+def road_elevation(events: Events, t: float,
                    ) -> Tuple[float, float, float, float]:
     """Road elevation steps [m] accumulated from the active events."""
-    return Events(events).at("elevation", t)
+    return events.at("elevation", t)
 
 
-def measure(x: List[float], prev_inputs: Inputs,
-            p: VehicleParams) -> Dict[str, float]:
+def measure(x: List[float], prev_inputs: Inputs, p: VehicleParams) -> Dict:
     """Sensor picture at the state list x: body rates and angles, inertial
     accelerations realized under the previously applied inputs, side slip,
-    and tire normal loads."""
+    and the four tire normal loads as one tuple N."""
     deriv = state_derivative(x, prev_inputs, p)
     v_x, v_y, r = x[0], x[1], x[2]
     a_x = deriv[0] - r * v_y
     a_y = deriv[1] + r * v_x
-    n = normal_forces(x[9:17:2], prev_inputs.z_road, p)
     return {
         "Vx": v_x,
         "beta": math.atan(v_y / _reg(v_x)),
@@ -86,7 +75,7 @@ def measure(x: List[float], prev_inputs: Inputs,
         "ax": a_x, "ay": a_y,
         "yaw_acc": deriv[2], "roll_acc": deriv[6], "pitch_acc": deriv[8],
         "F": p.m * a_x,
-        "N_fl": n[0], "N_fr": n[1], "N_rl": n[2], "N_rr": n[3],
+        "N": normal_forces(x[9:17:2], prev_inputs.z_road, p),
     }
 
 
@@ -101,10 +90,10 @@ class _Loop:
     steer_prev: Sequence[float] = field(init=False, default=ZERO4)
 
     def command(self, delta_in: float, f_ref: float,
-                meas: Dict[str, float], dt: float, p: VehicleParams,
+                meas: Dict, dt: float, p: VehicleParams,
                 ) -> Tuple[List[float], List[float], float, float]:
         """Returns (u_commanded, v, r_ref, residual), all in floats."""
-        normals = (meas["N_fl"], meas["N_fr"], meas["N_rl"], meas["N_rr"])
+        normals = meas["N"]
         v, r_ref = virtual_control(delta_in, f_ref, meas, self.gains,
                                    self.cs, dt, p)
         if self.mode == "baseline":
@@ -186,8 +175,8 @@ def run_scenario(scn: Scenario, controller: Optional[str] = None,
                         road_elevation(events, t), friction_scale(events, t))
         # one row in CSV_COLUMNS order
         log.append([t, x[0], x[1], x[2], meas["beta"], x[3], x[5], x[7],
-                    x[21], x[22], x[23], *u_cmd, meas["N_fl"], meas["N_fr"],
-                    meas["N_rl"], meas["N_rr"], *v, resid], r_ref)
+                    x[21], x[22], x[23], *u_cmd, *meas["N"], *v, resid],
+                   r_ref)
         try:
             x = step_rk4(x, inputs, p, dt)
         except PlantDiverged as exc:
@@ -221,7 +210,7 @@ def sweep_max_speed(scn: Scenario, controller: str,
         raise ConfigError(f"resolution {resolution!r} is not in (0, inf)")
 
     def stable(v0: float) -> bool:
-        log = run_scenario(scn.with_speed(v0), controller=controller,
+        log = run_scenario(replace(scn, v0=v0), controller=controller,
                            beta_limit=BETA_LIMIT)
         m = compute_metrics(log)
         return (not m.spin) and (not m.diverged) and m.max_beta < BETA_LIMIT

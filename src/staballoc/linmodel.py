@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .params import VehicleParams
-from .plant import chassis_derivative, normal_forces
+from .plant import ZERO4, chassis_derivative, normal_forces
 
 N_X = 17
 N_U = 12
@@ -31,7 +31,6 @@ BN_EPS = 1.0e-6  # |diagonal entries| below this flag B_n as non-invertible
 
 FD_STEP = 1.0e-6  # central-difference step, relative to max(1, |x0_j|)
 
-ZERO4 = (0.0, 0.0, 0.0, 0.0)
 UNIT4 = (1.0, 1.0, 1.0, 1.0)
 
 
@@ -85,7 +84,7 @@ def build_bv(p: VehicleParams) -> np.ndarray:
     return b_v
 
 
-def build_bl(p: VehicleParams, c_alpha: float = C_ALPHA_DEFAULT) -> np.ndarray:
+def build_bl(p: VehicleParams, c_alpha: float) -> np.ndarray:
     """Constant factor of the effort map, columns ordered as the actuator
     vector (4 steer, 4 torque, 4 suspension)."""
     a, b, w, rw, m = p.a, p.b, p.w, p.R_w, p.m

@@ -9,14 +9,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
+
+from .plant import ACTUATOR_NAMES
 
 OBSTACLE_X = 100.0  # m, obstacle line of the avoidance maneuver
 
 CSV_COLUMNS = (
     "t", "Vx", "Vy", "r", "beta", "z", "phi", "theta", "X", "Y", "psi",
-    "d_fl", "d_fr", "d_rl", "d_rr", "T_fl", "T_fr", "T_rl", "T_rr",
-    "fz_fl", "fz_fr", "fz_rl", "fz_rr", "N_fl", "N_fr", "N_rl", "N_rr",
+    *ACTUATOR_NAMES, "N_fl", "N_fr", "N_rl", "N_rr",
     "v1", "v2", "v3", "v4", "v5", "resid",
 )
 
@@ -123,28 +124,30 @@ def _fmt(x: float) -> str:
 
 
 def _polyline(xs: Sequence[float], ys: Sequence[float],
+              bounds: Tuple[float, float, float, float],
               x0: float, y0: float, w: float, h: float,
-              color: str) -> str:
-    xmin, xmax = min(xs), max(xs)
-    ymin, ymax = min(ys), max(ys)
-    if xmax == xmin:
-        xmax = xmin + 1.0
-    if ymax == ymin:
-        ymax = ymin + 1.0
+              stroke_width: float) -> str:
+    """The points mapped from bounds (xmin, xmax, ymin, ymax) onto the box
+    at (x0, y0) of size w x h, y up."""
+    xmin, xmax, ymin, ymax = bounds
     pts = []
     for x, y in zip(xs, ys):
         px = x0 + (x - xmin) / (xmax - xmin) * w
         py = y0 + h - (y - ymin) / (ymax - ymin) * h
         pts.append(f"{_fmt(px)},{_fmt(py)}")
-    return (f'<polyline fill="none" stroke="{color}" stroke-width="1" '
-            f'points="{" ".join(pts)}"/>\n')
+    return (f'<polyline fill="none" stroke="#1f5fbf" '
+            f'stroke-width="{stroke_width}" points="{" ".join(pts)}"/>\n')
 
 
 def _panel(xs: Sequence[float], ys: Sequence[float], label: str,
            x0: float, y0: float, w: float, h: float) -> str:
+    xmin, xmax = min(xs), max(xs)
+    ymin, ymax = min(ys), max(ys)
+    bounds = (xmin, xmax if xmax != xmin else xmin + 1.0,
+              ymin, ymax if ymax != ymin else ymin + 1.0)
     out = (f'<rect x="{x0}" y="{y0}" width="{w}" height="{h}" '
            f'fill="none" stroke="#999"/>\n')
-    out += _polyline(xs, ys, x0, y0, w, h, "#1f5fbf")
+    out += _polyline(xs, ys, bounds, x0, y0, w, h, 1)
     out += (f'<text x="{x0 + 4}" y="{y0 + 14}" font-size="12" '
             f'font-family="sans-serif">{label} '
             f'[{min(ys):.4g}, {max(ys):.4g}]</text>\n')
@@ -186,19 +189,12 @@ def emit_svg_plots(log: RunLog, out_dir: str | Path, stem: str) -> List[Path]:
     xmin, xmax = min(min(xs), 0.0), max(max(xs), OBSTACLE_X + 10.0)
     ymin, ymax = min(min(ys), -1.0), max(max(ys), 1.0)
     traj = _svg_header(w2, h2)
-    span_x = xmax - xmin
-    span_y = ymax - ymin
-    pts = []
-    for x, yv in zip(xs, ys):
-        px = m2 + (x - xmin) / span_x * (w2 - 2 * m2)
-        py = h2 - m2 - (yv - ymin) / span_y * (h2 - 2 * m2)
-        pts.append(f"{_fmt(px)},{_fmt(py)}")
-    ox = m2 + (OBSTACLE_X - xmin) / span_x * (w2 - 2 * m2)
+    ox = m2 + (OBSTACLE_X - xmin) / (xmax - xmin) * (w2 - 2 * m2)
     traj += (f'<line x1="{_fmt(ox)}" y1="{m2}" x2="{_fmt(ox)}" '
              f'y2="{h2 - m2}" stroke="#e754a6" stroke-width="2" '
              f'stroke-dasharray="8 3 2 3"/>\n')
-    traj += (f'<polyline fill="none" stroke="#1f5fbf" stroke-width="1.5" '
-             f'points="{" ".join(pts)}"/>\n')
+    traj += _polyline(xs, ys, (xmin, xmax, ymin, ymax), m2, m2,
+                      w2 - 2 * m2, h2 - 2 * m2, 1.5)
     traj += (f'<text x="{m2}" y="{m2 - 8}" font-size="12" '
              f'font-family="sans-serif">trajectory X-Y [m], obstacle line '
              f'at x={OBSTACLE_X:g}</text>\n')

@@ -22,8 +22,6 @@ class Metrics:
 
 
 def _rms(values) -> float:
-    if not values:
-        return 0.0
     return math.sqrt(sum(v * v for v in values) / len(values))
 
 

@@ -15,14 +15,19 @@ from __future__ import annotations
 
 import math
 from math import atan, cos, sin
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .params import VehicleParams
 
-# actuator envelope, clamped once per step by harness.clip_u
+# the 12-entry actuator vector and its envelope, which the harness applies
+# once per step with clip_u
+ACTUATOR_NAMES = ("d_fl", "d_fr", "d_rl", "d_rr",
+                  "T_fl", "T_fr", "T_rl", "T_rr",
+                  "fz_fl", "fz_fr", "fz_rl", "fz_rr")
 STEER_LIMIT = math.radians(30.0)   # rad
 TORQUE_LIMIT = 1500.0              # N m
 SUSPENSION_LIMIT = 5000.0          # N
+U_LIMITS = (STEER_LIMIT,) * 4 + (TORQUE_LIMIT,) * 4 + (SUSPENSION_LIMIT,) * 4
 
 BLOW_UP_LIMIT = 1.0e6  # any |state entry| beyond this marks the run diverged
 
@@ -43,7 +48,7 @@ class Inputs(NamedTuple):
     """Actuator and environment inputs, four per-wheel values each (fl, fr,
     rl, rr), held constant over one step.  The actuator entries are taken
     as given: the harness clamps them to the envelope (steering +-30 deg,
-    wheel torque +-1500 N m, suspension force +-5000 N) once, in clip_u."""
+    wheel torque +-1500 N m, suspension force +-5000 N) once, by clip_u."""
     steer: Sequence[float] = ZERO4
     torque: Sequence[float] = ZERO4
     f_z: Sequence[float] = ZERO4
@@ -71,6 +76,11 @@ def clip(x: float, lim: float) -> float:
     if x < -lim:
         return -lim
     return x
+
+
+def clip_u(u: Sequence[float]) -> List[float]:
+    """The 12-entry actuator vector clamped to the physical envelope."""
+    return [clip(x, lim) for x, lim in zip(u, U_LIMITS)]
 
 
 def normal_forces(z_u: Sequence[float], z_road: Sequence[float],
@@ -238,29 +248,48 @@ def state_derivative(x: Sequence[float], u: Inputs,
     return out
 
 
+def _diverged(x: Sequence[float]) -> Optional[PlantDiverged]:
+    """PlantDiverged naming the first entry of x that is non-finite or
+    beyond BLOW_UP_LIMIT, or None if there is none."""
+    for name, value in zip(STATE_NAMES, x):
+        if not -BLOW_UP_LIMIT <= value <= BLOW_UP_LIMIT:
+            return PlantDiverged(f"{name}={value!r}")
+    return None
+
+
 def step_rk4(x: List[float], u: Inputs, p: VehicleParams,
              dt: float) -> List[float]:
     """Advance the state list one fixed step with the inputs held constant
     (zero-order hold).
 
     Raises PlantDiverged, never silently clamps, when any entry of the
-    result is non-finite or exceeds the blow-up bound.
+    result is non-finite or exceeds the blow-up bound, and also when a
+    stage raises OverflowError or ValueError at an input or stage state
+    with such an entry; any other error propagates unchanged.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     # classical RK4; each stage looks state_derivative up as a global
-    k1 = state_derivative(x, u, p)
     h = 0.5 * dt
-    k2 = state_derivative([xi + h * ki for xi, ki in zip(x, k1)], u, p)
-    k3 = state_derivative([xi + h * ki for xi, ki in zip(x, k2)], u, p)
-    k4 = state_derivative([xi + dt * ki for xi, ki in zip(x, k3)], u, p)
+    stage = x
+    try:
+        k1 = state_derivative(x, u, p)
+        stage = [xi + h * ki for xi, ki in zip(x, k1)]
+        k2 = state_derivative(stage, u, p)
+        stage = [xi + h * ki for xi, ki in zip(x, k2)]
+        k3 = state_derivative(stage, u, p)
+        stage = [xi + dt * ki for xi, ki in zip(x, k3)]
+        k4 = state_derivative(stage, u, p)
+    except (OverflowError, ValueError) as exc:
+        diverged = _diverged(x) or _diverged(stage)
+        if diverged is None:
+            raise
+        raise diverged from exc
     s = dt / 6.0
     nxt = [xi + s * (a + 2.0 * (b + c) + d)
            for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
     # a finite sum means every entry is finite (inf or NaN would propagate)
     if not (math.isfinite(sum(nxt))
             and -BLOW_UP_LIMIT <= min(nxt) and max(nxt) <= BLOW_UP_LIMIT):
-        name, value = next((n, v) for n, v in zip(STATE_NAMES, nxt)
-                           if not -BLOW_UP_LIMIT <= v <= BLOW_UP_LIMIT)
-        raise PlantDiverged(f"{name}={value!r}")
+        raise _diverged(nxt)
     return nxt

@@ -35,19 +35,16 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .allocator import AllocatorConfig
 from .controllers import DriverInput, Gains, PiecewiseLinear
 from .params import ConfigError
+from .plant import ACTUATOR_NAMES, BLOW_UP_LIMIT
 
 CONTROLLERS = ("proposed", "baseline", "hybrid")
-
-ACTUATOR_NAMES = ("d_fl", "d_fr", "d_rl", "d_rr",
-                  "T_fl", "T_fr", "T_rl", "T_rr",
-                  "fz_fl", "fz_fr", "fz_rl", "fz_rr")
 
 TIRE_SETS = {
     "fl": (0,), "fr": (1,), "rl": (2,), "rr": (3,),
@@ -139,8 +136,9 @@ class Events(tuple):
 @dataclass(frozen=True)
 class Scenario:
     """One run: vehicle start, driver, events and controller settings.
-    ConfigError unless the controller is known, 0 <= v0 < inf, and dt
-    divides the horizon (check_step)."""
+    ConfigError unless the controller is known, 0 <= v0 <= BLOW_UP_LIMIT
+    (a faster start is past the plant's divergence bound from the first
+    step), and dt divides the horizon (check_step)."""
     name: str
     v0: float
     horizon: float
@@ -154,14 +152,11 @@ class Scenario:
     def __post_init__(self):
         if self.controller not in CONTROLLERS:
             raise ConfigError(f"unknown controller {self.controller!r}")
-        if not 0.0 <= self.v0 < math.inf:
-            raise ConfigError(f"v0 {self.v0!r} must be finite and "
-                              f"non-negative")
+        if not 0.0 <= self.v0 <= BLOW_UP_LIMIT:
+            raise ConfigError(f"v0 {self.v0!r} must be in "
+                              f"[0, {BLOW_UP_LIMIT:g}] m/s")
         check_step(self.dt, self.horizon)
         object.__setattr__(self, "events", Events(self.events))
-
-    def with_speed(self, v0: float) -> "Scenario":
-        return replace(self, v0=v0)
 
 
 def check_step(dt: float, horizon: float) -> int:
@@ -222,7 +217,10 @@ def _parse_profile(text: str, where: str) -> PiecewiseLinear:
         if not sep:
             raise ConfigError(f"{where}: bad breakpoint {token!r}")
         points.append((_number(t_str, where), _number(v_str, where)))
-    return PiecewiseLinear(tuple(points))
+    try:
+        return PiecewiseLinear(tuple(points))
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _parse_event(line: str, lineno: int) -> Event:

@@ -2,7 +2,8 @@
 
 `tests/golden/figures.sha256` holds, for each of the ten shipped
 (scenario, controller) runs, the sha256 of the bytes `emit_csv` writes and
-the run's metrics as `float.hex`, plus the linear closed-loop verdict
+the run's metrics as `float.hex`, the sha256 of the two SVGs
+`emit_svg_plots` writes, plus the linear closed-loop verdict
 `max_closed_loop_eig(Gains(), 20.0, VehicleParams())`.  The file is tagged
 with the Python version, the NumPy version and the machine it was made on,
 because libm `atan`/`sin` may round differently elsewhere: on the same tag
@@ -27,7 +28,7 @@ import numpy as np
 from staballoc.cli import FIGURE_PAIRS, SCENARIO_DIR
 from staballoc.controllers import Gains
 from staballoc.harness import run_scenario
-from staballoc.logio import emit_csv
+from staballoc.logio import emit_csv, emit_svg_plots
 from staballoc.metrics import Metrics, compute_metrics
 from staballoc.params import VehicleParams
 from staballoc.scenario import load_scenario
@@ -40,7 +41,7 @@ METRICS = tuple(f.name for f in dataclasses.fields(Metrics))
 
 class Golden(NamedTuple):
     tag: str
-    hashes: Dict[str, str]               # CSV name -> sha256
+    hashes: Dict[str, str]               # CSV or SVG name -> sha256
     metrics: Dict[str, Dict[str, str]]   # CSV name -> metric -> text
     eig: str                             # float.hex
 
@@ -57,25 +58,31 @@ def metric_text(value) -> str:
 
 def observe(runs, out_dir: Path) -> Golden:
     """The golden entries of `runs`, {(scenario, controller): (log,
-    metrics)}; each CSV is written to out_dir, hashed and removed."""
+    metrics)}; each CSV and SVG is written to out_dir, hashed and
+    removed."""
     hashes, metrics = {}, {}
     for (name, ctrl), (log, m) in runs.items():
-        path = emit_csv(log, out_dir / f"{name}_{ctrl}.csv")
-        hashes[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
-        path.unlink()
-        metrics[path.name] = {k: metric_text(getattr(m, k)) for k in METRICS}
+        stem = f"{name}_{ctrl}"
+        csv = emit_csv(log, out_dir / f"{stem}.csv")
+        for path in [csv, *emit_svg_plots(log, out_dir, stem)]:
+            hashes[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+            path.unlink()
+        metrics[csv.name] = {k: metric_text(getattr(m, k)) for k in METRICS}
     eig = max_closed_loop_eig(Gains(), 20.0, VehicleParams())
     return Golden(tag(), hashes, metrics, eig.hex())
 
 
 def render(g: Golden) -> str:
     lines = ["# sha256 of the `staballoc figures` CSVs, with their metrics "
-             "(float.hex)",
+             "(float.hex), and SVGs",
              "# regenerate: PYTHONPATH=src python tests/golden.py",
              f"tag {g.tag}"]
     for name in sorted(g.hashes):
-        lines.append(f"{g.hashes[name]}  {name}  " + " ".join(
-            f"{k}={g.metrics[name][k]}" for k in METRICS))
+        line = f"{g.hashes[name]}  {name}"
+        if name in g.metrics:
+            line += "  " + " ".join(f"{k}={g.metrics[name][k]}"
+                                    for k in METRICS)
+        lines.append(line)
     lines.append(f"{EIG_KEY} {g.eig}")
     return "\n".join(lines) + "\n"
 
@@ -93,7 +100,8 @@ def read(path: Path = GOLDEN) -> Golden:
         else:
             name, *pairs = rest.split()
             hashes[name] = head
-            metrics[name] = dict(pair.split("=", 1) for pair in pairs)
+            if pairs:
+                metrics[name] = dict(pair.split("=", 1) for pair in pairs)
     return Golden(tag_, hashes, metrics, eig)
 
 
@@ -110,7 +118,8 @@ def compare(expected: Golden, got: Golden) -> Tuple[List[str], List[str]]:
     """(failures, notes).  On the golden file's own tag every hash and the
     eigenvalue must match bit for bit; on another tag the eigenvalue must
     agree to 1e-9 relative and differing hashes are only noted.  The
-    metrics must agree to 1e-9 relative on any tag."""
+    metrics must agree to 1e-9 relative on any tag.  CSV and SVG hashes
+    are compared alike."""
     same_tag = expected.tag == got.tag
     failures, notes = [], []
     if sorted(expected.hashes) != sorted(got.hashes):
@@ -121,6 +130,7 @@ def compare(expected: Golden, got: Golden) -> Tuple[List[str], List[str]]:
             (failures if same_tag else notes).append(
                 f"{name}: sha256 {got.hashes[name]} != golden "
                 f"{expected.hashes[name]}")
+    for name in sorted(expected.metrics):
         for k in METRICS:
             a, b = expected.metrics[name][k], got.metrics[name][k]
             if not metric_close(a, b):

@@ -17,8 +17,8 @@ from staballoc.allocator import AdaptiveAllocator, AllocatorConfig, \
 from staballoc.cli import FIGURE_PAIRS
 from staballoc.controllers import Gains
 from staballoc.harness import run_scenario, sweep_max_speed
-from staballoc.linmodel import build_bl, build_bn, linearize, \
-    reduced_derivative
+from staballoc.linmodel import C_ALPHA_DEFAULT, build_bl, build_bn, \
+    linearize, reduced_derivative
 from staballoc.logio import emit_csv
 from staballoc.metrics import compute_metrics
 from staballoc.params import VehicleParams
@@ -66,7 +66,7 @@ def test_criterion_1_static_physics():
 
 def test_criterion_2_factorization_identity():
     rng = np.random.default_rng(42)
-    b_l = build_bl(P)
+    b_l = build_bl(P, C_ALPHA_DEFAULT)
     worst = 0.0
     for _ in range(100):
         steer = rng.uniform(-math.radians(30), math.radians(30), 4)
@@ -99,7 +99,7 @@ def test_criterion_3_lyapunov_solver():
 
 
 def test_criterion_4_allocation_convergence():
-    b_l = build_bl(P)
+    b_l = build_bl(P, C_ALPHA_DEFAULT)
     b_n = build_bn((0.0,) * 4,
                    (P.N_front_static,) * 2 + (P.N_rear_static,) * 2, P)
     v = np.array([6000.0, 2000.0, 4000.0, 3000.0, 2000.0])

@@ -12,7 +12,8 @@ from staballoc.allocator import (AdaptiveAllocator, AllocatorConfig,
                                  solve_lyapunov)
 from staballoc import harness
 from staballoc.harness import run_scenario
-from staballoc.linmodel import bn_is_invertible, build_bl, build_bn
+from staballoc.linmodel import (C_ALPHA_DEFAULT, bn_is_invertible, build_bl,
+                                build_bn)
 from staballoc.params import ConfigError, VehicleParams
 from staballoc.scenario import load_scenario
 
@@ -73,7 +74,7 @@ class TestLyapunovSolver:
 
 class TestInitTheta:
     def test_right_inverse_identity(self, params):
-        b_l = build_bl(params)
+        b_l = build_bl(params, C_ALPHA_DEFAULT)
         theta0 = init_theta(b_l)
         np.testing.assert_allclose(b_l @ theta0, np.eye(5), atol=1e-9)
 
@@ -218,7 +219,7 @@ class TestScalarAllocation:
 @pytest.fixture(scope="module")
 def bench():
     p = VehicleParams()
-    b_l = build_bl(p)
+    b_l = build_bl(p, C_ALPHA_DEFAULT)
     b_n = build_bn((0.0,) * 4,
                    (p.N_front_static,) * 2 + (p.N_rear_static,) * 2, p)
     return b_l, b_n
@@ -305,7 +306,7 @@ def at_bound(al):
 
 
 def twins(cfg=AllocatorConfig()):
-    b_l = build_bl(P)
+    b_l = build_bl(P, C_ALPHA_DEFAULT)
     return AdaptiveAllocator(b_l, cfg), reference.ReferenceAllocator(b_l, cfg)
 
 
@@ -406,7 +407,8 @@ class TestFrozenEntries:
     them at a bound."""
 
     def test_round_off_entries_of_theta0(self):
-        al = AdaptiveAllocator(build_bl(P), AllocatorConfig())
+        al = AdaptiveAllocator(build_bl(P, C_ALPHA_DEFAULT),
+                               AllocatorConfig())
         tiny = (al.theta != 0.0) & (np.abs(al.theta) < 1e-15)
         assert sorted(map(tuple, np.argwhere(tiny).tolist())) == FROZEN
         frozen = tuple(np.array(FROZEN).T)

@@ -69,15 +69,15 @@ class TestProfiles:
             assert prof(t).hex() == profile_value(points, t).hex(), t
 
     def test_driver_force_is_pedal_minus_brake(self):
-        drv = DriverInput(steer=PiecewiseLinear.constant(0.0),
-                          pedal=PiecewiseLinear.constant(500.0),
-                          brake=PiecewiseLinear.constant(2000.0))
+        drv = DriverInput(steer=PiecewiseLinear(((0.0, 0.0),)),
+                          pedal=PiecewiseLinear(((0.0, 500.0),)),
+                          brake=PiecewiseLinear(((0.0, 2000.0),)))
         assert drv.force_ref(1.0) == -1500.0
 
     def test_steer_clamped_to_actuator_range(self):
-        drv = DriverInput(steer=PiecewiseLinear.constant(1.0),
-                          pedal=PiecewiseLinear.constant(0.0),
-                          brake=PiecewiseLinear.constant(0.0))
+        drv = DriverInput(steer=PiecewiseLinear(((0.0, 1.0),)),
+                          pedal=PiecewiseLinear(((0.0, 0.0),)),
+                          brake=PiecewiseLinear(((0.0, 0.0),)))
         assert drv.steer_at(0.0) == pytest.approx(math.radians(30.0))
 
 

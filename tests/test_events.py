@@ -179,5 +179,5 @@ class TestClosedLoop:
     def test_events_compiled_once_per_scenario(self):
         scn = parse_scenario(rough_road(seed=1, n_elevation=20))
         assert isinstance(scn.events, Events)
-        assert scn.with_speed(12.0).events is scn.events
+        assert dataclasses.replace(scn, v0=12.0).events is scn.events
         assert dataclasses.replace(scn, horizon=2.0).events is scn.events

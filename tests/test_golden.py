@@ -14,6 +14,8 @@ def make(tag=TAG, sha="ab" * 32, max_beta=0.25, eig=-0.5):
 class TestGoldenFile:
     def test_render_reads_back(self, tmp_path):
         g = make()
+        g = g._replace(hashes={**g.hashes, "s_proposed_timeseries.svg":
+                               "12" * 32})
         path = tmp_path / "g.sha256"
         path.write_text(golden.render(g))
         assert golden.read(path) == g
@@ -21,9 +23,12 @@ class TestGoldenFile:
     def test_committed_file_names_every_figure_run(self):
         from staballoc.cli import FIGURE_PAIRS
         g = golden.read()
+        stems = [f"{name}_{ctrl}" for name, ctrls in FIGURE_PAIRS
+                 for ctrl in ctrls]
+        assert sorted(g.metrics) == sorted(f"{s}.csv" for s in stems)
         assert sorted(g.hashes) == sorted(
-            f"{name}_{ctrl}.csv" for name, ctrls in FIGURE_PAIRS
-            for ctrl in ctrls)
+            s + suffix for s in stems
+            for suffix in (".csv", "_timeseries.svg", "_trajectory.svg"))
         assert g.tag.startswith("python=") and g.eig
 
 
@@ -35,6 +40,18 @@ class TestCompare:
         failures, notes = golden.compare(make(), make(sha="cd" * 32))
         assert len(failures) == 1 and "sha256" in failures[0]
         assert notes == []
+
+    def test_svg_hash_is_compared_like_a_csv_hash(self):
+        def with_svg(tag=TAG, sha="ef" * 32):
+            g = make(tag=tag)
+            svg = {"s_proposed_trajectory.svg": sha}
+            return g._replace(hashes={**g.hashes, **svg})
+        assert golden.compare(with_svg(), with_svg()) == ([], [])
+        failures, _ = golden.compare(with_svg(), with_svg(sha="01" * 32))
+        assert len(failures) == 1 and "trajectory.svg" in failures[0]
+        failures, notes = golden.compare(
+            with_svg(), with_svg(tag="elsewhere", sha="01" * 32))
+        assert failures == [] and len(notes) == 1
 
     def test_other_hash_is_only_noted_on_another_tag(self):
         failures, notes = golden.compare(

@@ -17,16 +17,17 @@ from staballoc.allocator import AdaptiveAllocator, AllocatorConfig, \
     measured_net
 from staballoc.cli import main as cli_main
 from staballoc.controllers import ControllerState, Gains
-from staballoc.harness import (BETA_LIMIT, U_LIMITS, _Loop, apply_faults,
-                               clip_u, friction_scale, measure,
-                               road_elevation, run_scenario, sweep_max_speed)
-from staballoc.linmodel import build_bl, build_bn
+from staballoc.harness import (BETA_LIMIT, _Loop, apply_faults, clip_u,
+                               friction_scale, measure, road_elevation,
+                               run_scenario, sweep_max_speed)
+from staballoc.linmodel import C_ALPHA_DEFAULT, build_bl, build_bn
 from staballoc.logio import CSV_COLUMNS, RunLog
 from staballoc.metrics import compute_metrics
 from staballoc.params import VehicleParams
-from staballoc.plant import BLOW_UP_LIMIT, STATE_NAMES, Inputs, step_rk4
-from staballoc.scenario import (ACTUATOR_NAMES, ConfigError, Event,
-                                load_scenario, parse_scenario)
+from staballoc.plant import (ACTUATOR_NAMES, BLOW_UP_LIMIT, STATE_NAMES,
+                             U_LIMITS, Inputs, step_rk4)
+from staballoc.scenario import (ConfigError, Event, Events, load_scenario,
+                                parse_scenario)
 from staballoc.stability import max_closed_loop_eig
 
 SHORT = """
@@ -54,18 +55,18 @@ dt = 0.001
 class TestFaultInjection:
     def test_no_events_is_identity(self):
         u = np.arange(12.0)
-        out = apply_faults(u, (), 5.0)
+        out = apply_faults(u, Events(), 5.0)
         np.testing.assert_array_equal(out, u)
 
     def test_unit_multiplier_is_identity(self):
         u = np.arange(12.0)
-        events = (Event(1.0, "effectiveness", "T_fl", 1.0),)
+        events = Events((Event(1.0, "effectiveness", "T_fl", 1.0),))
         np.testing.assert_array_equal(apply_faults(u, events, 2.0), u)
 
     def test_rear_right_traction_and_steer_scaled(self):
         u = np.ones(12)
-        events = (Event(1.0, "effectiveness", "d_rr", 0.10),
-                  Event(1.0, "effectiveness", "T_rr", 0.10))
+        events = Events((Event(1.0, "effectiveness", "d_rr", 0.10),
+                         Event(1.0, "effectiveness", "T_rr", 0.10)))
         out = apply_faults(u, events, 1.0)
         assert out[3] == pytest.approx(0.10)
         assert out[7] == pytest.approx(0.10)
@@ -75,12 +76,12 @@ class TestFaultInjection:
 
     def test_rear_right_suspension_scaled(self):
         u = np.ones(12)
-        events = (Event(1.0, "effectiveness", "fz_rr", 0.10),)
+        events = Events((Event(1.0, "effectiveness", "fz_rr", 0.10),))
         out = apply_faults(u, events, 1.5)
         assert out[11] == pytest.approx(0.10)
 
     def test_friction_scale_sets(self):
-        events = (Event(4.0, "friction", "right", 0.6),)
+        events = Events((Event(4.0, "friction", "right", 0.6),))
         assert friction_scale(events, 3.0) == (1.0, 1.0, 1.0, 1.0)
         assert friction_scale(events, 4.0) == (1.0, 0.6, 1.0, 0.6)
 
@@ -92,8 +93,8 @@ class TestFaultInjection:
     def test_one_clamp_holds_the_envelope(self, u, faults):
         # the loop clamps the command once; a fault factor in (0, 1] never
         # takes it out of the envelope, and NaN passes through both
-        events = tuple(Event(0.5, "effectiveness", target, factor)
-                       for target, factor in faults)
+        events = Events(Event(0.5, "effectiveness", target, factor)
+                        for target, factor in faults)
         out = apply_faults(clip_u(u), events, 1.0)
         assert len(out) == 12
         for x, y, lim in zip(u, out, U_LIMITS):
@@ -103,8 +104,8 @@ class TestFaultInjection:
                 assert -lim <= y <= lim
 
     def test_elevation_steps_accumulate(self):
-        events = (Event(1.0, "elevation", "fl", 0.02),
-                  Event(2.0, "elevation", "fl", 0.01))
+        events = Events((Event(1.0, "elevation", "fl", 0.02),
+                         Event(2.0, "elevation", "fl", 0.01)))
         assert road_elevation(events, 1.5) == (0.02, 0.0, 0.0, 0.0)
         assert road_elevation(events, 2.5) == \
             pytest.approx((0.03, 0.0, 0.0, 0.0))
@@ -119,7 +120,7 @@ class TestMeasurements:
 
     def test_normals_at_rest(self, params):
         meas = measure(PlantState().as_list(), Inputs(), params)
-        assert meas["N_fl"] == pytest.approx(params.N_front_static)
+        assert meas["N"][0] == pytest.approx(params.N_front_static)
 
     def test_traction_step_on_level_road_recovers_torque_force(self):
         # drag-free, rolling-resistance-free vehicle driven by four 200 N m
@@ -145,7 +146,7 @@ class TestDriverSteer:
     def test_driver_steer_added_to_front_channels(self, params):
         # the proposed command is the allocator's output with the driver's
         # steer added on the two front steering channels only
-        b_l = build_bl(params)
+        b_l = build_bl(params, C_ALPHA_DEFAULT)
         meas = measure(PlantState.cruising(20.0, params).as_list(), Inputs(),
                        params)
         loop = _Loop(mode="proposed", gains=Gains(), cs=ControllerState(),
@@ -153,7 +154,7 @@ class TestDriverSteer:
         u, v, _, _ = loop.command(0.02, 0.0, meas, 1e-3, params)
 
         twin = AdaptiveAllocator(b_l, AllocatorConfig())
-        normals = (meas["N_fl"], meas["N_fr"], meas["N_rl"], meas["N_rr"])
+        normals = meas["N"]
         realized = measured_net(meas["ax"], meas["ay"], meas["yaw_acc"],
                                 meas["roll_acc"], meas["pitch_acc"],
                                 meas["Vx"], params)
@@ -284,8 +285,8 @@ class TestBetaLimit:
 
     @pytest.fixture(scope="class")
     def scn(self, scenario_dir):
-        return replace(load_scenario(scenario_dir / "actuator_fault.scn")
-                       .with_speed(26.0), horizon=5.0)
+        return replace(load_scenario(scenario_dir / "actuator_fault.scn"),
+                       v0=26.0, horizon=5.0)
 
     @pytest.fixture(scope="class")
     def full(self, scn):
@@ -409,7 +410,8 @@ class TestStabilityCheck:
     def test_reference_dynamics_scale(self, params):
         # the allocator reference matrix is -10 I by default
         eigs = np.linalg.eigvals(
-            AdaptiveAllocator(build_bl(params), AllocatorConfig()).a_m)
+            AdaptiveAllocator(build_bl(params, C_ALPHA_DEFAULT),
+                              AllocatorConfig()).a_m)
         assert np.max(eigs.real) == pytest.approx(-10.0)
 
     def test_default_gains_stable_at_both_speeds(self, params):
@@ -469,6 +471,9 @@ class TestCli:
 
     @pytest.mark.parametrize("old, new", [
         ("steer = 0:0 ", "steer = 0:nan "), ("v0 = 13.0", "v0 = nan"),
+        # beyond the divergence bound: 1e79 would overflow the first
+        # measurement, 2e6 diverge at the first step
+        ("v0 = 13.0", "v0 = 1e79"), ("v0 = 13.0", "v0 = 2e6"),
         ("brake = 0:0", "brake = 0:0\n[events]\nnan friction all 0.9"),
         ("brake = 0:0", "brake = 0:0\n[events]\n1 elevation all inf"),
         ("brake = 0:0", "brake = 0:0\n[gains]\nkp_mz = inf"),

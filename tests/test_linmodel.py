@@ -5,8 +5,9 @@ import pytest
 
 from effort_map import ZEROED_ROWS, build_by, build_d, linear_model
 from plant_state import PlantState
-from staballoc.linmodel import (bn_is_invertible, build_bl, build_bn,
-                                build_bv, linearize, reduced_derivative)
+from staballoc.linmodel import (C_ALPHA_DEFAULT, bn_is_invertible, build_bl,
+                                build_bn, build_bv, linearize,
+                                reduced_derivative)
 from staballoc.plant import Inputs, state_derivative
 
 STATIC_STEER = (0.0, 0.0, 0.0, 0.0)
@@ -105,7 +106,7 @@ class TestLinearize:
 class TestFactorization:
     def test_identity_on_randomized_operating_points(self, params):
         rng = np.random.default_rng(11)
-        b_l = build_bl(params)
+        b_l = build_bl(params, C_ALPHA_DEFAULT)
         for _ in range(100):
             steer = rng.uniform(-math.radians(30), math.radians(30), 4)
             normals = rng.uniform(500.0, 6000.0, 4)
@@ -155,7 +156,7 @@ class TestFactorization:
         assert expected == pytest.approx(28021.0, abs=1.0)
 
     def test_bl_suspension_column(self, params):
-        b_l = build_bl(params)
+        b_l = build_bl(params, C_ALPHA_DEFAULT)
         np.testing.assert_allclose(b_l[:, 8], [0, 0, 0, 0.8, -1.125])
         np.testing.assert_allclose(b_l[:, 9], [0, 0, 0, -0.8, -1.125])
 

@@ -11,11 +11,11 @@ from reference_plant import (body_accelerations, longitudinal_slip,
                              magic_formula, rk4, slip_angles,
                              vertical_derivatives, wheel_spin_derivative,
                              yaw_acceleration)
-from staballoc.harness import clip_u
 from staballoc.linmodel import reduced_derivative
 from staballoc.params import G, VehicleParams
 from staballoc.plant import (STATE_NAMES, V_EPS, Inputs, PlantDiverged,
-                             normal_forces, state_derivative, step_rk4)
+                             clip_u, normal_forces, state_derivative,
+                             step_rk4)
 
 ZERO4 = (0.0, 0.0, 0.0, 0.0)
 
@@ -44,7 +44,7 @@ class TestParams:
 
 
 class TestEnvelope:
-    """The actuator envelope has one home, harness.clip_u, applied once per
+    """The actuator envelope has one home, plant.clip_u, applied once per
     step to the command; the plant takes its inputs as given."""
 
     def test_saturation_applied_by_clip_u(self):
@@ -263,6 +263,12 @@ class TestIntegrator:
         ("X", 2e6, "X=2000000.0"),
         ("Y", -math.inf, "Y=-inf"),
         ("psi", -1.5e6, "psi=-1500000.0"),
+        # a stage raises: (Vx/30)**4 in the rolling resistance overflows,
+        # at once for Vx=1e80 and at the third stage for Vy=1e308, and
+        # cos(inf) is a domain error; the bad input entry is named
+        ("Vy", 1e308, "Vy=1e+308"),
+        ("Vx", 1e80, "Vx=1e+80"),
+        ("psi", math.inf, "psi=inf"),
     ])
     def test_divergence_names_the_first_bad_entry(self, params, entry,
                                                   value, reason):
@@ -271,6 +277,10 @@ class TestIntegrator:
         with pytest.raises(PlantDiverged) as err:
             step_rk4(x, Inputs(), params, 1e-3)
         assert str(err.value) == reason
+
+    def test_stage_error_without_a_bad_entry_propagates(self, params):
+        with pytest.raises(ValueError, match="not enough values"):
+            step_rk4([0.0] * 23, Inputs(), params, 1e-3)
 
 
 class TestTrajectoryInvariants:

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from staballoc.allocator import AllocatorConfig
 from staballoc.controllers import Gains
+from staballoc.plant import BLOW_UP_LIMIT
 from staballoc.scenario import (EVENT_TARGETS, ConfigError, Event,
                                 check_step, load_scenario, parse_scenario)
 
@@ -61,7 +62,7 @@ class TestParsing:
         assert scn.allocator == AllocatorConfig()
 
     def test_with_speed_override(self):
-        scn = parse_scenario(GOOD).with_speed(22.0)
+        scn = dataclasses.replace(parse_scenario(GOOD), v0=22.0)
         assert scn.v0 == 22.0
         assert scn.name == "demo"
 
@@ -150,13 +151,30 @@ class TestScenarioRules:
     BASE = "[scenario]\nv0 = 10\nhorizon = 0.5\ndt = 0.001\n"
 
     @pytest.mark.parametrize("change", [
-        {"v0": -5.0}, {"v0": math.nan}, {"v0": math.inf},
+        {"v0": -5.0}, {"v0": math.nan}, {"v0": math.inf}, {"v0": 2e6},
         {"controller": "bogus"}, {"dt": 0.003}, {"dt": 0.0},
         {"horizon": math.nan}])
     def test_replacement_rejected(self, change):
         scn = parse_scenario(self.BASE)
         with pytest.raises(ConfigError):
             dataclasses.replace(scn, **change)
+
+    def test_speed_up_to_the_blow_up_limit_accepted(self):
+        scn = parse_scenario(self.BASE)
+        assert dataclasses.replace(scn, v0=BLOW_UP_LIMIT).v0 == 1.0e6
+
+
+class TestProfileErrors:
+    @pytest.mark.parametrize("channel", ["steer", "pedal", "brake"])
+    @pytest.mark.parametrize("profile, reason", [
+        ("1:0 0:1", "must be sorted"),
+        ("", "at least one breakpoint"),
+        ("0:0 1:inf", "is not finite")])
+    def test_error_names_the_channel(self, channel, profile, reason):
+        text = ("[scenario]\nv0 = 10\nhorizon = 1\ndt = 0.001\n"
+                f"[driver]\n{channel} = {profile}\n")
+        with pytest.raises(ConfigError, match=f"^{channel}: .*{reason}"):
+            parse_scenario(text)
 
 
 # ---------------------------------------------------------------------------
