@@ -1,13 +1,14 @@
 """Adaptive control allocation.
 
 The allocator maintains a parameter matrix theta mapping the 5-entry
-virtual control v onto the 12-entry intermediate command u_bar, an
+virtual control v onto the 12-entry intermediate command u_bar, and an
 auxiliary state xi integrating the mismatch between the realized net
-efforts and v, and a reference state xi_m.  theta is adjusted online with
-a Lyapunov-based law under an entrywise box projection, so the realized
-efforts converge to v without identifying which actuators lost
-effectiveness.  The allocated command is u = B_n(t)^-1 u_bar; the harness
-adds the driver's front steering to it.
+efforts and v.  Its reference model xi_m' = A_m xi_m has no input and
+starts at zero, so xi_m stays zero and the tracking error is xi itself.
+theta is adjusted online with a Lyapunov-based law under an entrywise box
+projection, so the realized efforts converge to v without identifying
+which actuators lost effectiveness.  The allocated command is
+u = B_n(t)^-1 u_bar; the harness adds the driver's front steering to it.
 
 Effort channels are pre-scaled to order one (forces and moments are in the
 kN range) so a single scalar adaptation rate is meaningful.
@@ -104,7 +105,7 @@ class StepResult:
 
 
 class AdaptiveAllocator:
-    """Owns theta, xi, xi_m and P for one simulation instance.
+    """Owns theta, xi and P for one simulation instance.
 
     Works for any effort-map shape (n_v x n_u); the vehicle uses 5 x 12.
     Internally both sides of the map are normalized: efforts by v_scale and
@@ -132,7 +133,6 @@ class AdaptiveAllocator:
         self.hi = self.theta + half
         self.eps = self.cfg.proj_margin * (self.hi - self.lo)
         self.xi = np.zeros(self.n_v)
-        self.xi_m = np.zeros(self.n_v)
         self.prev_u_ca = np.zeros(self.n_u)
         self.bn_failures = 0
 
@@ -151,14 +151,12 @@ class AdaptiveAllocator:
         r_s = np.divide(realized, s)
 
         # q = -raw, so theta + dt*gamma*(projected raw) is theta minus that
-        q = np.multiply.outer(self.b_hat.T @ (self.p @ (self.xi - self.xi_m)),
-                              v_s)
+        q = np.multiply.outer(self.b_hat.T @ (self.p @ self.xi), v_s)
         q = project_rate(self.theta, q, self.lo, self.hi, self.eps)
         theta = self.theta - dt * (self.cfg.gamma * q)
         self.theta = np.minimum(np.maximum(theta, self.lo), self.hi)
 
         self.xi = self.xi + dt * (self.a_m @ self.xi + r_s - v_s)
-        self.xi_m = self.xi_m + dt * (self.a_m @ self.xi_m)
 
         u_bar = self.u_scale * (self.theta @ v_s)
         bn_ok = bn_is_invertible(bn_diag)

@@ -198,9 +198,12 @@ def sweep_max_speed(scn: Scenario, controller: str,
 
     Survival: no spin flag, no divergence, and max |beta| below BETA_LIMIT.
     A failing run ends at the step whose |beta| reaches BETA_LIMIT, since
-    the rest of it cannot change the verdict.  Bisection to the given
-    resolution, assuming a single stability threshold in the range.
-    Returns NaN when even v_min fails; raises ConfigError unless
+    the rest of it cannot change the verdict.  The top of the range is run
+    first and returned if it survives; otherwise v_min is run (NaN if it
+    fails too) and the speed bisected to the given resolution, assuming a
+    single stability threshold in the range.  So a range whose top
+    survives gives v_max even if its bottom fails, and a range where
+    nothing survives costs two runs.  Raises ConfigError unless
     0 <= v_min <= v_max < inf and 0 < resolution < inf.
     """
     if not 0.0 <= v_min <= v_max < math.inf:
@@ -215,10 +218,10 @@ def sweep_max_speed(scn: Scenario, controller: str,
         m = compute_metrics(log)
         return (not m.spin) and (not m.diverged) and m.max_beta < BETA_LIMIT
 
-    if not stable(v_min):
-        return float("nan")
-    if v_min == v_max or stable(v_max):
+    if stable(v_max):
         return v_max
+    if v_min == v_max or not stable(v_min):
+        return float("nan")
     lo, hi = v_min, v_max
     while hi - lo > resolution:
         mid = 0.5 * (lo + hi)

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .params import VehicleParams
-from .plant import ZERO4, chassis_derivative, normal_forces
+from .plant import ZERO4, Inputs, bind, normal_forces
 
 N_X = 17
 N_U = 12
@@ -31,8 +31,6 @@ BN_EPS = 1.0e-6  # |diagonal entries| below this flag B_n as non-invertible
 
 FD_STEP = 1.0e-6  # central-difference step, relative to max(1, |x0_j|)
 
-UNIT4 = (1.0, 1.0, 1.0, 1.0)
-
 
 def reduced_derivative(x: Sequence[float], u: Sequence[float],
                        p: VehicleParams) -> np.ndarray:
@@ -42,12 +40,13 @@ def reduced_derivative(x: Sequence[float], u: Sequence[float],
     T_i/R_w, with rolling resistance deliberately left unmodeled here (the
     closed loop treats it as a disturbance).  Lateral forces use the full
     tire curve at the slip angles implied by the state; the road is flat
-    with nominal friction.
+    with nominal friction, as the Inputs defaults have it.
     """
+    plant = bind(p)
     f_x = [t / p.R_w for t in u[4:8]]
     normals = normal_forces((x[9], x[11], x[13], x[15]), ZERO4, p)
-    return np.array(chassis_derivative(x, f_x, normals, u[0:4], u[8:12],
-                                       ZERO4, UNIT4, p))
+    _, _, ci = plant.step_inputs(Inputs(u[0:4], u[4:8], u[8:12]))
+    return np.array(plant.chassis(x, f_x, normals, ci))
 
 
 def linearize(p: VehicleParams, v0: float) -> np.ndarray:

@@ -90,6 +90,10 @@ class VehicleParams:
     hw_csr: float = field(init=False, repr=False, default=0.0)
     k_tf: float = field(init=False, repr=False, default=0.0)
     k_tr: float = field(init=False, repr=False, default=0.0)
+    # the plant equations bound to these values, which plant.bind makes on
+    # first use; they live and die with the parameter set
+    _plant: object = field(init=False, repr=False, compare=False,
+                           default=None)
 
     def __post_init__(self) -> None:
         for name in ("h", "a", "b", "w", "m", "I_x", "I_y", "I_z", "I_w",

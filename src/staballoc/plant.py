@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import math
 from math import atan, cos, sin
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import (Callable, List, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
 
 from .params import VehicleParams
 
@@ -97,104 +98,228 @@ def normal_forces(z_u: Sequence[float], z_road: Sequence[float],
             n_rr if n_rr > 0.0 else 0.0)
 
 
-def chassis_derivative(x: Sequence[float], f_x: Sequence[float],
-                       normals: Sequence[float], steer: Sequence[float],
-                       f_z: Sequence[float], z_road: Sequence[float],
-                       lat_scale: Sequence[float],
-                       p: VehicleParams) -> List[float]:
-    """Derivatives of the 17 control-oriented states.
+class Plant(NamedTuple):
+    """The plant equations of one VehicleParams, its constants bound as
+    closure locals; bind(p) makes it.
 
-    The tire-frame longitudinal forces f_x and the normal loads are given;
-    lateral forces follow from the tire curve at the slip angles of the
-    state (hub-angle geometry), its peak mu*N scaled per tire by lat_scale.
-    Suspension forces follow from the body corner elevations
-    z -/+ a,b*sin(theta) +/- w/2*sin(phi); load transfer enters as
-    -m*a_x*h on pitch and -m*a_y*h on roll; the air speed is taken as Vx.
-    Straight-line on purpose: it is the plant's hot path, and every sum
-    and product keeps the operand order the logs are pinned to bit for bit.
+    step_inputs(u) forms the input-only terms once per step, as a tuple
+    (torque, z_road, ci); chassis(x, f_x, normals, ci) and derivative(x,
+    si) then evaluate the 17 control-oriented and the full 24 derivatives
+    at any number of states.
     """
-    (v_x, v_y, r, z, zd, phi, phid, theta, thetad,
-     zu0, zud0, zu1, zud1, zu2, zud2, zu3, zud3, *_) = x
-    fx0, fx1, fx2, fx3 = f_x
-    n0, n1, n2, n3 = normals
-    d0, d1, d2, d3 = steer
-    ls0, ls1, ls2, ls3 = lat_scale
+    step_inputs: Callable[[Inputs], tuple]
+    chassis: Callable[..., List[float]]
+    derivative: Callable[..., List[float]]
+
+
+def _make_plant(p: VehicleParams) -> Plant:
+    # every constant the equations read, read once from p
     a, b, hw, m, mu = p.a, p.b, p.hw, p.m, p.mu
-    B, C, E = p.B2, p.C2, p.E2
-
-    # lateral tire forces: magic formula at slip angle delta - atan(num/den)
-    ra, rb = r * a, r * b
-    num_f, num_r = v_y + ra * p.cos_gf, v_y - rb * p.cos_gr
-    sf, sr = ra * p.sin_gf, rb * p.sin_gr
-    bs = B * (d0 - atan(num_f / _reg(v_x - sf)))
-    fy0 = mu * n0 * ls0 * sin(C * atan(bs - E * (bs - atan(bs))))
-    bs = B * (d1 - atan(num_f / _reg(v_x + sf)))
-    fy1 = mu * n1 * ls1 * sin(C * atan(bs - E * (bs - atan(bs))))
-    bs = B * (d2 - atan(num_r / _reg(v_x - sr)))
-    fy2 = mu * n2 * ls2 * sin(C * atan(bs - E * (bs - atan(bs))))
-    bs = B * (d3 - atan(num_r / _reg(v_x + sr)))
-    fy3 = mu * n3 * ls3 * sin(C * atan(bs - E * (bs - atan(bs))))
-
-    # tire frame -> body frame
-    cd, sd = cos(d0), sin(d0)
-    fxb0, fyb0 = fx0 * cd - fy0 * sd, fy0 * cd + fx0 * sd
-    cd, sd = cos(d1), sin(d1)
-    fxb1, fyb1 = fx1 * cd - fy1 * sd, fy1 * cd + fx1 * sd
-    cd, sd = cos(d2), sin(d2)
-    fxb2, fyb2 = fx2 * cd - fy2 * sd, fy2 * cd + fx2 * sd
-    cd, sd = cos(d3), sin(d3)
-    fxb3, fyb3 = fx3 * cd - fy3 * sd, fy3 * cd + fx3 * sd
-
-    a_x = (sum((fxb0, fxb1, fxb2, fxb3)) - p.drag_k * v_x * v_x) / m
-    a_y = sum((fyb0, fyb1, fyb2, fyb3)) / m
-    rdot = (hw * (fxb1 + fxb3 - fxb0 - fxb2) + a * (fyb0 + fyb1)
-            - b * (fyb2 + fyb3)) / p.I_z
-
-    # heave, pitch, roll and the four unsprung masses
-    sth, cth = sin(theta), cos(theta)
-    sph, cph = sin(phi), cos(phi)
+    cos_gf, sin_gf, cos_gr, sin_gr = p.cos_gf, p.sin_gf, p.cos_gr, p.sin_gr
+    B1, C1, E1, B2, C2, E2 = p.B1, p.C1, p.E1, p.B2, p.C2, p.E2
+    R_w, I_w, I_x, I_y, I_z, h = p.R_w, p.I_w, p.I_x, p.I_y, p.I_z, p.h
+    p0, p1, p2, drag_k = p.p0, p.p1, p.p2, p.drag_k
     ksf, csf, ksr, csr = p.k_sf, p.c_sf, p.k_sr, p.c_sr
-    k_hp, c_hp = p.k_hp, p.c_hp
+    k_heave, c_heave, k_hp, c_hp = p.k_heave, p.c_heave, p.k_hp, p.c_hp
+    k_pitch, c_pitch = p.k_pitch, p.c_pitch
+    k_roll, c_roll = p.k_roll, p.c_roll
     a_ksf, a_csf, b_ksr, b_csr = p.a_ksf, p.a_csf, p.b_ksr, p.b_csr
-    fz0, fz1, fz2, fz3 = f_z
-    zr0, zr1, zr2, zr3 = z_road
-    zu_f, zud_f, zu_r, zud_r = zu0 + zu1, zud0 + zud1, zu2 + zu3, zud2 + zud3
-
-    zdd = (-p.k_heave * z - p.c_heave * zd + k_hp * sth
-           + c_hp * thetad * cth + ksf * zu_f + csf * zud_f
-           + ksr * zu_r + csr * zud_r + fz0 + fz1 + fz2 + fz3) / m
-    thetadd = (k_hp * z + c_hp * zd - p.k_pitch * sth
-               - p.c_pitch * thetad * cth - a_ksf * zu_f - a_csf * zud_f
-               + b_ksr * zu_r + b_csr * zud_r - m * a_x * p.h
-               - a * (fz0 + fz1) + b * (fz2 + fz3)) / p.I_y
-    phidd = (-p.k_roll * sph - p.c_roll * phid * cph
-             + hw * (ksf * (zu0 - zu1) + csf * (zud0 - zud1))
-             + hw * (ksr * (zu2 - zu3) + csr * (zud2 - zud3))
-             - m * a_y * p.h + hw * (fz0 - fz1 + fz2 - fz3)) / p.I_x
-
+    hw_ksf, hw_csf, hw_ksr, hw_csr = p.hw_ksf, p.hw_csf, p.hw_ksr, p.hw_csr
     k_tf, k_tr, k_uf, k_ur = p.k_tf, p.k_tr, p.k_uf, p.k_ur
-    front = ksf * z + csf * zd - a_ksf * sth - a_csf * thetad * cth
-    rear = ksr * z + csr * zd + b_ksr * sth + b_csr * thetad * cth
-    roll_f, rolld_f = p.hw_ksf * sph, p.hw_csf * phid * cph
-    roll_r, rolld_r = p.hw_ksr * sph, p.hw_csr * phid * cph
-    zudd0 = (front + roll_f + rolld_f - k_tf * zu0 - csf * zud0
-             + k_uf * zr0 - fz0) / p.m_uf
-    zudd1 = (front - roll_f - rolld_f - k_tf * zu1 - csf * zud1
-             + k_uf * zr1 - fz1) / p.m_uf
-    zudd2 = (rear + roll_r + rolld_r - k_tr * zu2 - csr * zud2
-             + k_ur * zr2 - fz2) / p.m_ur
-    zudd3 = (rear - roll_r - rolld_r - k_tr * zu3 - csr * zud3
-             + k_ur * zr3 - fz3) / p.m_ur
+    m_uf, m_ur = p.m_uf, p.m_ur
+    n_front, n_rear = p.N_front_static, p.N_rear_static
+    eps, meps = V_EPS, -V_EPS
 
-    return [a_x + r * v_y,      # Vx' (body frame rotating at r)
-            a_y - r * v_x,      # Vy'
-            rdot, zd, zdd, phid, phidd, thetad, thetadd,
-            zud0, zudd0, zud1, zudd1, zud2, zudd2, zud3, zudd3]
+    def step_inputs(u: Inputs) -> tuple:
+        """The input-only terms at the inputs u: the torques and road
+        steps, and for the chassis ci, the steer angles with their cos and
+        sin, the lateral friction scales, the suspension forces with their
+        pitch and roll moments, and the road steps times the tire
+        springs."""
+        steer, torque, f_z, z_road, lat_scale = u
+        d0, d1, d2, d3 = steer
+        fz0, fz1, fz2, fz3 = f_z
+        zr0, zr1, zr2, zr3 = z_road
+        ls0, ls1, ls2, ls3 = lat_scale
+        return torque, z_road, (
+            d0, d1, d2, d3, cos(d0), sin(d0), cos(d1), sin(d1),
+            cos(d2), sin(d2), cos(d3), sin(d3), ls0, ls1, ls2, ls3,
+            fz0, fz1, fz2, fz3, a * (fz0 + fz1), b * (fz2 + fz3),
+            hw * (fz0 - fz1 + fz2 - fz3),
+            k_uf * zr0, k_uf * zr1, k_ur * zr2, k_ur * zr3)
+
+    def chassis(x: Sequence[float], f_x: Sequence[float],
+                normals: Sequence[float], ci: tuple) -> List[float]:
+        """Derivatives of the 17 control-oriented states.
+
+        The tire-frame longitudinal forces f_x and the normal loads are
+        given, the inputs as step_inputs formed them; lateral forces
+        follow from the tire curve at the slip angles of the state
+        (hub-angle geometry), its peak mu*N scaled per tire by lat_scale.
+        Suspension forces follow from the body corner elevations
+        z -/+ a,b*sin(theta) +/- w/2*sin(phi); load transfer enters as
+        -m*a_x*h on pitch and -m*a_y*h on roll; the air speed is taken as
+        Vx.  Straight-line on purpose: it is the plant's hot path, and
+        every sum and product keeps the operand order the logs are pinned
+        to bit for bit; each slip denominator is floored at V_EPS as _reg
+        does it.
+        """
+        (v_x, v_y, r, z, zd, phi, phid, theta, thetad,
+         zu0, zud0, zu1, zud1, zu2, zud2, zu3, zud3, *_) = x
+        fx0, fx1, fx2, fx3 = f_x
+        n0, n1, n2, n3 = normals
+        (d0, d1, d2, d3, cd0, sd0, cd1, sd1, cd2, sd2, cd3, sd3,
+         ls0, ls1, ls2, ls3, fz0, fz1, fz2, fz3, a_fz, b_fz, hw_fz,
+         kzr0, kzr1, kzr2, kzr3) = ci
+
+        # lateral tire forces: magic formula at slip angle d - atan(num/den)
+        ra, rb = r * a, r * b
+        num_f, num_r = v_y + ra * cos_gf, v_y - rb * cos_gr
+        sf, sr = ra * sin_gf, rb * sin_gr
+        den = v_x - sf
+        den = den if den > eps or den < meps else eps if den >= 0.0 else meps
+        bs = B2 * (d0 - atan(num_f / den))
+        fy0 = mu * n0 * ls0 * sin(C2 * atan(bs - E2 * (bs - atan(bs))))
+        den = v_x + sf
+        den = den if den > eps or den < meps else eps if den >= 0.0 else meps
+        bs = B2 * (d1 - atan(num_f / den))
+        fy1 = mu * n1 * ls1 * sin(C2 * atan(bs - E2 * (bs - atan(bs))))
+        den = v_x - sr
+        den = den if den > eps or den < meps else eps if den >= 0.0 else meps
+        bs = B2 * (d2 - atan(num_r / den))
+        fy2 = mu * n2 * ls2 * sin(C2 * atan(bs - E2 * (bs - atan(bs))))
+        den = v_x + sr
+        den = den if den > eps or den < meps else eps if den >= 0.0 else meps
+        bs = B2 * (d3 - atan(num_r / den))
+        fy3 = mu * n3 * ls3 * sin(C2 * atan(bs - E2 * (bs - atan(bs))))
+
+        # tire frame -> body frame
+        fxb0, fyb0 = fx0 * cd0 - fy0 * sd0, fy0 * cd0 + fx0 * sd0
+        fxb1, fyb1 = fx1 * cd1 - fy1 * sd1, fy1 * cd1 + fx1 * sd1
+        fxb2, fyb2 = fx2 * cd2 - fy2 * sd2, fy2 * cd2 + fx2 * sd2
+        fxb3, fyb3 = fx3 * cd3 - fy3 * sd3, fy3 * cd3 + fx3 * sd3
+
+        a_x = (sum((fxb0, fxb1, fxb2, fxb3)) - drag_k * v_x * v_x) / m
+        a_y = sum((fyb0, fyb1, fyb2, fyb3)) / m
+        rdot = (hw * (fxb1 + fxb3 - fxb0 - fxb2) + a * (fyb0 + fyb1)
+                - b * (fyb2 + fyb3)) / I_z
+
+        # heave, pitch, roll and the four unsprung masses
+        sth, cth = sin(theta), cos(theta)
+        sph, cph = sin(phi), cos(phi)
+        zu_f, zud_f, zu_r, zud_r = zu0 + zu1, zud0 + zud1, zu2 + zu3, \
+            zud2 + zud3
+
+        zdd = (-k_heave * z - c_heave * zd + k_hp * sth
+               + c_hp * thetad * cth + ksf * zu_f + csf * zud_f
+               + ksr * zu_r + csr * zud_r + fz0 + fz1 + fz2 + fz3) / m
+        thetadd = (k_hp * z + c_hp * zd - k_pitch * sth
+                   - c_pitch * thetad * cth - a_ksf * zu_f - a_csf * zud_f
+                   + b_ksr * zu_r + b_csr * zud_r - m * a_x * h
+                   - a_fz + b_fz) / I_y
+        phidd = (-k_roll * sph - c_roll * phid * cph
+                 + hw * (ksf * (zu0 - zu1) + csf * (zud0 - zud1))
+                 + hw * (ksr * (zu2 - zu3) + csr * (zud2 - zud3))
+                 - m * a_y * h + hw_fz) / I_x
+
+        front = ksf * z + csf * zd - a_ksf * sth - a_csf * thetad * cth
+        rear = ksr * z + csr * zd + b_ksr * sth + b_csr * thetad * cth
+        roll_f, rolld_f = hw_ksf * sph, hw_csf * phid * cph
+        roll_r, rolld_r = hw_ksr * sph, hw_csr * phid * cph
+        zudd0 = (front + roll_f + rolld_f - k_tf * zu0 - csf * zud0
+                 + kzr0 - fz0) / m_uf
+        zudd1 = (front - roll_f - rolld_f - k_tf * zu1 - csf * zud1
+                 + kzr1 - fz1) / m_uf
+        zudd2 = (rear + roll_r + rolld_r - k_tr * zu2 - csr * zud2
+                 + kzr2 - fz2) / m_ur
+        zudd3 = (rear - roll_r - rolld_r - k_tr * zu3 - csr * zud3
+                 + kzr3 - fz3) / m_ur
+
+        return [a_x + r * v_y,      # Vx' (body frame rotating at r)
+                a_y - r * v_x,      # Vy'
+                rdot, zd, zdd, phid, phidd, thetad, thetadd,
+                zud0, zudd0, zud1, zudd1, zud2, zudd2, zud3, zudd3]
+
+    def derivative(x: Sequence[float], si: tuple) -> List[float]:
+        """Full state derivative at the inputs step_inputs formed; see
+        state_derivative."""
+        (v_x, v_y, r, _, _, _, _, _, _, zu0, _, zu1, _, zu2, _, zu3, _,
+         w0, w1, w2, w3, _, _, psi) = x
+        (t0, t1, t2, t3), (zr0, zr1, zr2, zr3), ci = si
+        n0 = n_front - k_uf * (zu0 - zr0)
+        n1 = n_front - k_uf * (zu1 - zr1)
+        n2 = n_rear - k_ur * (zu2 - zr2)
+        n3 = n_rear - k_ur * (zu3 - zr3)
+        n0 = n0 if n0 > 0.0 else 0.0
+        n1 = n1 if n1 > 0.0 else 0.0
+        n2 = n2 if n2 > 0.0 else 0.0
+        n3 = n3 if n3 > 0.0 else 0.0
+        ratio = v_x / 30.0
+        rr = p0 + p1 * ratio + p2 * ratio ** 4
+        v_den = v_x if v_x > eps or v_x < meps else eps if v_x >= 0.0 \
+            else meps
+
+        wr = w0 * R_w
+        den = (wr if wr > eps or wr < meps else eps if wr >= 0.0 else meps) \
+            if wr >= v_x else v_den
+        lam = (wr - v_x) / den
+        bs = B1 * (1.0 if lam > 1.0 else -1.0 if lam < -1.0 else lam)
+        fx0 = mu * n0 * sin(C1 * atan(bs - E1 * (bs - atan(bs))))
+        sgn = 1.0 if w0 > 0.0 else -1.0 if w0 < 0.0 else 0.0
+        wd0 = (t0 - n0 * rr * sgn - fx0 * R_w) / I_w
+        wr = w1 * R_w
+        den = (wr if wr > eps or wr < meps else eps if wr >= 0.0 else meps) \
+            if wr >= v_x else v_den
+        lam = (wr - v_x) / den
+        bs = B1 * (1.0 if lam > 1.0 else -1.0 if lam < -1.0 else lam)
+        fx1 = mu * n1 * sin(C1 * atan(bs - E1 * (bs - atan(bs))))
+        sgn = 1.0 if w1 > 0.0 else -1.0 if w1 < 0.0 else 0.0
+        wd1 = (t1 - n1 * rr * sgn - fx1 * R_w) / I_w
+        wr = w2 * R_w
+        den = (wr if wr > eps or wr < meps else eps if wr >= 0.0 else meps) \
+            if wr >= v_x else v_den
+        lam = (wr - v_x) / den
+        bs = B1 * (1.0 if lam > 1.0 else -1.0 if lam < -1.0 else lam)
+        fx2 = mu * n2 * sin(C1 * atan(bs - E1 * (bs - atan(bs))))
+        sgn = 1.0 if w2 > 0.0 else -1.0 if w2 < 0.0 else 0.0
+        wd2 = (t2 - n2 * rr * sgn - fx2 * R_w) / I_w
+        wr = w3 * R_w
+        den = (wr if wr > eps or wr < meps else eps if wr >= 0.0 else meps) \
+            if wr >= v_x else v_den
+        lam = (wr - v_x) / den
+        bs = B1 * (1.0 if lam > 1.0 else -1.0 if lam < -1.0 else lam)
+        fx3 = mu * n3 * sin(C1 * atan(bs - E1 * (bs - atan(bs))))
+        sgn = 1.0 if w3 > 0.0 else -1.0 if w3 < 0.0 else 0.0
+        wd3 = (t3 - n3 * rr * sgn - fx3 * R_w) / I_w
+
+        out = chassis(x, (fx0, fx1, fx2, fx3), (n0, n1, n2, n3), ci)
+        cpsi, spsi = cos(psi), sin(psi)
+        out += (wd0, wd1, wd2, wd3,
+                v_x * cpsi - v_y * spsi,   # X'
+                v_x * spsi + v_y * cpsi,   # Y'
+                r)                         # psi'
+        return out
+
+    return Plant(step_inputs, chassis, derivative)
 
 
-def state_derivative(x: Sequence[float], u: Inputs,
+def bind(p: VehicleParams) -> Plant:
+    """The plant equations of p, made on the first call and kept on p
+    (VehicleParams is frozen), so a run builds them once."""
+    plant = p._plant
+    if plant is None:
+        plant = _make_plant(p)
+        object.__setattr__(p, "_plant", plant)
+    return plant
+
+
+def state_derivative(x: Sequence[float], u: Union[Inputs, tuple],
                      p: VehicleParams) -> List[float]:
     """Full state derivative; pure and deterministic in its arguments.
+
+    u is the Inputs, or the terms bind(p).step_inputs formed of them:
+    step_rk4 forms those once and passes them to its four stages, so each
+    evaluation of a step is still one call of this function.
 
     Wheel i: slip ratio lam = (w*Rw - Vx) / (w*Rw if w*Rw >= Vx else Vx),
     the denominator floored at V_EPS and lam clamped to [-1, 1]; the tire
@@ -202,50 +327,9 @@ def state_derivative(x: Sequence[float], u: Inputs,
     the spin balance is I_w*w' = T - sgn(w)*N*rr(Vx) - f_x*R_w with the
     rolling-resistance coefficient rr = p0 + p1*Vx/30 + p2*(Vx/30)^4.
     """
-    (v_x, v_y, r, _, _, _, _, _, _, zu0, _, zu1, _, zu2, _, zu3, _,
-     w0, w1, w2, w3, _, _, psi) = x
-    normals = normal_forces((zu0, zu1, zu2, zu3), u.z_road, p)
-    n0, n1, n2, n3 = normals
-    t0, t1, t2, t3 = u.torque
-    mu, R_w, I_w = p.mu, p.R_w, p.I_w
-    B, C, E = p.B1, p.C1, p.E1
-    ratio = v_x / 30.0
-    rr = p.p0 + p.p1 * ratio + p.p2 * ratio ** 4
-    v_den = _reg(v_x)
-
-    wr = w0 * R_w
-    lam = (wr - v_x) / (_reg(wr) if wr >= v_x else v_den)
-    bs = B * (1.0 if lam > 1.0 else -1.0 if lam < -1.0 else lam)
-    fx0 = mu * n0 * sin(C * atan(bs - E * (bs - atan(bs))))
-    sgn = 1.0 if w0 > 0.0 else -1.0 if w0 < 0.0 else 0.0
-    wd0 = (t0 - n0 * rr * sgn - fx0 * R_w) / I_w
-    wr = w1 * R_w
-    lam = (wr - v_x) / (_reg(wr) if wr >= v_x else v_den)
-    bs = B * (1.0 if lam > 1.0 else -1.0 if lam < -1.0 else lam)
-    fx1 = mu * n1 * sin(C * atan(bs - E * (bs - atan(bs))))
-    sgn = 1.0 if w1 > 0.0 else -1.0 if w1 < 0.0 else 0.0
-    wd1 = (t1 - n1 * rr * sgn - fx1 * R_w) / I_w
-    wr = w2 * R_w
-    lam = (wr - v_x) / (_reg(wr) if wr >= v_x else v_den)
-    bs = B * (1.0 if lam > 1.0 else -1.0 if lam < -1.0 else lam)
-    fx2 = mu * n2 * sin(C * atan(bs - E * (bs - atan(bs))))
-    sgn = 1.0 if w2 > 0.0 else -1.0 if w2 < 0.0 else 0.0
-    wd2 = (t2 - n2 * rr * sgn - fx2 * R_w) / I_w
-    wr = w3 * R_w
-    lam = (wr - v_x) / (_reg(wr) if wr >= v_x else v_den)
-    bs = B * (1.0 if lam > 1.0 else -1.0 if lam < -1.0 else lam)
-    fx3 = mu * n3 * sin(C * atan(bs - E * (bs - atan(bs))))
-    sgn = 1.0 if w3 > 0.0 else -1.0 if w3 < 0.0 else 0.0
-    wd3 = (t3 - n3 * rr * sgn - fx3 * R_w) / I_w
-
-    out = chassis_derivative(x, (fx0, fx1, fx2, fx3), normals, u.steer,
-                             u.f_z, u.z_road, u.lat_scale, p)
-    cpsi, spsi = cos(psi), sin(psi)
-    out += (wd0, wd1, wd2, wd3,
-            v_x * cpsi - v_y * spsi,   # X'
-            v_x * spsi + v_y * cpsi,   # Y'
-            r)                         # psi'
-    return out
+    plant = bind(p)
+    return plant.derivative(x, plant.step_inputs(u) if type(u) is Inputs
+                            else u)
 
 
 def _diverged(x: Sequence[float]) -> Optional[PlantDiverged]:
@@ -269,17 +353,19 @@ def step_rk4(x: List[float], u: Inputs, p: VehicleParams,
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    # classical RK4; each stage looks state_derivative up as a global
+    # classical RK4; the input-only terms are formed once for the four
+    # stages, and each stage looks state_derivative up as a global
     h = 0.5 * dt
     stage = x
     try:
-        k1 = state_derivative(x, u, p)
+        si = bind(p).step_inputs(u)
+        k1 = state_derivative(x, si, p)
         stage = [xi + h * ki for xi, ki in zip(x, k1)]
-        k2 = state_derivative(stage, u, p)
+        k2 = state_derivative(stage, si, p)
         stage = [xi + h * ki for xi, ki in zip(x, k2)]
-        k3 = state_derivative(stage, u, p)
+        k3 = state_derivative(stage, si, p)
         stage = [xi + dt * ki for xi, ki in zip(x, k3)]
-        k4 = state_derivative(stage, u, p)
+        k4 = state_derivative(stage, si, p)
     except (OverflowError, ValueError) as exc:
         diverged = _diverged(x) or _diverged(stage)
         if diverged is None:

@@ -41,10 +41,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .allocator import AllocatorConfig
 from .controllers import DriverInput, Gains, PiecewiseLinear
-from .params import ConfigError
+from .params import ConfigError, VehicleParams
 from .plant import ACTUATOR_NAMES, BLOW_UP_LIMIT
 
 CONTROLLERS = ("proposed", "baseline", "hybrid")
+
+R_W = VehicleParams().R_w  # stock wheel radius; a run starts at w = v0/R_W
 
 TIRE_SETS = {
     "fl": (0,), "fr": (1,), "rl": (2,), "rr": (3,),
@@ -136,9 +138,10 @@ class Events(tuple):
 @dataclass(frozen=True)
 class Scenario:
     """One run: vehicle start, driver, events and controller settings.
-    ConfigError unless the controller is known, 0 <= v0 <= BLOW_UP_LIMIT
-    (a faster start is past the plant's divergence bound from the first
-    step), and dt divides the horizon (check_step)."""
+    ConfigError unless the controller is known, v0 >= 0 with its start
+    wheel speed v0 / R_w (stock R_w) within BLOW_UP_LIMIT, so a start
+    state is never past the plant's divergence bound, and dt divides the
+    horizon (check_step)."""
     name: str
     v0: float
     horizon: float
@@ -152,9 +155,11 @@ class Scenario:
     def __post_init__(self):
         if self.controller not in CONTROLLERS:
             raise ConfigError(f"unknown controller {self.controller!r}")
-        if not 0.0 <= self.v0 <= BLOW_UP_LIMIT:
+        if not (0.0 <= self.v0 and self.v0 / R_W <= BLOW_UP_LIMIT):
             raise ConfigError(f"v0 {self.v0!r} must be in "
-                              f"[0, {BLOW_UP_LIMIT:g}] m/s")
+                              f"[0, {BLOW_UP_LIMIT * R_W:g}] m/s, so that "
+                              f"the wheel speed v0/R_w stays within "
+                              f"{BLOW_UP_LIMIT:g}")
         check_step(self.dt, self.horizon)
         object.__setattr__(self, "events", Events(self.events))
 

@@ -106,7 +106,7 @@ def theta_star(al: AdaptiveAllocator, lam: np.ndarray) -> np.ndarray:
 def lyapunov_value(al: AdaptiveAllocator, lam: np.ndarray,
                    th_star: np.ndarray) -> float:
     """e'P e + tr(theta_err' Lambda theta_err)/gamma for a known Lambda."""
-    e = al.xi - al.xi_m
+    e = al.xi
     err = al.theta - th_star
     weighted = np.asarray(lam)[:, None] * err
     return float(e @ al.p @ e + np.trace(err.T @ weighted) / al.cfg.gamma)

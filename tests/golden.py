@@ -14,14 +14,18 @@ Regenerate it from the repository root (a declared change, with its
 reason, whenever an output is meant to change):
 
     PYTHONPATH=src python tests/golden.py
+
+The script takes no arguments: `--help` prints this text, and any other
+argument is an error; neither writes the file.
 """
+import argparse
 import dataclasses
 import hashlib
 import math
 import platform
 import tempfile
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -142,7 +146,11 @@ def compare(expected: Golden, got: Golden) -> Tuple[List[str], List[str]]:
     return failures, notes
 
 
-def main() -> None:
+def main(argv: Optional[List[str]] = None) -> None:
+    argparse.ArgumentParser(
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    ).parse_args(argv)
     runs = {}
     for name, controllers in FIGURE_PAIRS:
         scn = load_scenario(SCENARIO_DIR / f"{name}.scn")

@@ -35,7 +35,12 @@ def bn_is_invertible(bn_diag: np.ndarray) -> bool:
 
 
 class ReferenceAllocator(AdaptiveAllocator):
-    """The allocator with the old step."""
+    """The allocator with the old step, which still carries the reference
+    state xi_m and forms the error as xi - xi_m."""
+
+    def __init__(self, b_l: np.ndarray, config) -> None:
+        super().__init__(b_l, config)
+        self.xi_m = np.zeros(self.n_v)
 
     def step(self, v: np.ndarray, realized: np.ndarray,
              bn_diag: np.ndarray, dt: float) -> StepResult:

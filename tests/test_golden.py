@@ -1,3 +1,5 @@
+import pytest
+
 import golden
 
 TAG = "python=0 numpy=0 machine=test"
@@ -76,3 +78,18 @@ class TestCompare:
         assert golden.metric_close("nan", "nan")
         assert not golden.metric_close("nan", float(1.0).hex())
         assert not golden.metric_close("True", "False")
+
+
+class TestScript:
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["--bogus"],
+                                      ["out.sha256"]])
+    def test_an_argument_never_rewrites_the_golden_file(self, argv,
+                                                        monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the script ran a scenario")
+        monkeypatch.setattr(golden, "run_scenario", no_run)
+        before = golden.GOLDEN.read_bytes()
+        with pytest.raises(SystemExit) as exit_:
+            golden.main(argv)
+        assert exit_.value.code == (0 if argv[0] in ("-h", "--help") else 2)
+        assert golden.GOLDEN.read_bytes() == before

@@ -6,11 +6,13 @@ import sys
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_plant as ref
 from plant_state import PlantState
 from staballoc import harness
 from staballoc.allocator import AdaptiveAllocator, AllocatorConfig, \
@@ -25,7 +27,7 @@ from staballoc.logio import CSV_COLUMNS, RunLog
 from staballoc.metrics import compute_metrics
 from staballoc.params import VehicleParams
 from staballoc.plant import (ACTUATOR_NAMES, BLOW_UP_LIMIT, STATE_NAMES,
-                             U_LIMITS, Inputs, step_rk4)
+                             U_LIMITS, ZERO4, Inputs, step_rk4)
 from staballoc.scenario import (ConfigError, Event, Events, load_scenario,
                                 parse_scenario)
 from staballoc.stability import max_closed_loop_eig
@@ -343,6 +345,75 @@ class TestBetaLimit:
             run_scenario(parse_scenario(SHORT), beta_limit=limit)
 
 
+ORACLE_RUN = """
+[scenario]
+name = oracle
+v0 = 15.0
+horizon = 0.3
+dt = 0.001
+
+[driver]
+steer = 0:0 0.05:0.06 0.3:-0.02
+pedal = 0:0
+brake = 0:0
+
+[events]
+0.05  elevation      fl     0.01
+0.1   elevation      rear  -0.02
+0.12  friction       front  0.6
+0.15  effectiveness  d_fl   0.5
+0.2   effectiveness  fz_rr  0.3
+"""
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+class TestPlantPathAgainstOracle:
+    """The closed loop steps and measures the plant as the helper-built
+    oracle (tests/reference_plant.py) does, by float.hex, on a short run
+    whose steer, road elevation, friction and actuator faults all change:
+    the plant forms the input-only terms once per step, so a stale one
+    would show here."""
+
+    @pytest.mark.parametrize("controller", ["proposed", "baseline",
+                                            "hybrid"])
+    def test_every_step_and_measurement(self, monkeypatch, controller):
+        applied = []
+
+        def checked_step(x, u, p, dt):
+            nxt = step_rk4(x, u, p, dt)
+            want = ref.rk4(lambda v: ref.state_derivative(v, u, p), x, dt)
+            assert hexes(nxt) == hexes(want), len(applied)
+            applied.append(u)
+            return nxt
+
+        def checked_measure(x, prev_inputs, p):
+            meas = measure(x, prev_inputs, p)
+            d = ref.state_derivative(x, prev_inputs, p)
+            v_x, v_y, r = x[0], x[1], x[2]
+            got = [meas[k] for k in ("ax", "ay", "yaw_acc", "roll_acc",
+                                     "pitch_acc")]
+            assert hexes(got) == hexes([d[0] - r * v_y, d[1] + r * v_x,
+                                        d[2], d[6], d[8]]), len(applied)
+            return meas
+
+        monkeypatch.setattr(harness, "step_rk4", checked_step)
+        monkeypatch.setattr(harness, "measure", checked_measure)
+        log = run_scenario(parse_scenario(ORACLE_RUN), controller=controller)
+        assert len(applied) == len(log) == 300 and not log.diverged
+        # every hoisted input moved during the run
+        assert {tuple(u.z_road) for u in applied} == {
+            ZERO4, (0.01, 0.0, 0.0, 0.0), (0.01, 0.0, -0.02, -0.02)}
+        assert min(min(u.lat_scale) for u in applied) == 0.6
+        assert len({tuple(u.steer) for u in applied}) > 100
+        assert len({tuple(u.f_z) for u in applied}) > 100
+        faulted = [k for k, u in enumerate(applied)
+                   if u.steer[0] != log.cols["d_fl"][k]]
+        assert faulted[0] == 150
+
+
 class TestMetrics:
     def make_log(self, psi=0.0, n=1200, x_step=0.1):
         log = RunLog(scenario="t", controller="proposed", dt=0.001)
@@ -404,6 +475,32 @@ class TestSweep:
         with pytest.raises(ConfigError, match="speed range"):
             sweep_max_speed(parse_scenario(SHORT), "baseline", v_min, v_max,
                             resolution=0.25)
+
+
+    @pytest.mark.parametrize("survives, answer, visited", [
+        # the top survives: one run, even though the bottom would fail
+        (lambda v: v >= 20.0, 26.0, [26.0]),
+        # the top fails: the bottom, then bisection to 4 m/s
+        (lambda v: v <= 18.8, 18.0, [26.0, 10.0, 18.0, 22.0]),
+        # nothing survives: the top and the bottom
+        (lambda v: False, math.nan, [26.0, 10.0])])
+    def test_top_of_the_range_is_run_first(self, monkeypatch, survives,
+                                           answer, visited):
+        speeds = []
+
+        def run(scn, controller=None, beta_limit=math.inf):
+            speeds.append(scn.v0)
+            return scn.v0
+
+        def metrics(v0):
+            return SimpleNamespace(spin=False, diverged=False,
+                                   max_beta=0.0 if survives(v0) else 1.0)
+        monkeypatch.setattr(harness, "run_scenario", run)
+        monkeypatch.setattr(harness, "compute_metrics", metrics)
+        got = sweep_max_speed(parse_scenario(SHORT), "baseline", 10.0, 26.0,
+                              resolution=4.0)
+        assert speeds == visited
+        assert got == answer or math.isnan(got) and math.isnan(answer)
 
 
 class TestStabilityCheck:
@@ -471,9 +568,11 @@ class TestCli:
 
     @pytest.mark.parametrize("old, new", [
         ("steer = 0:0 ", "steer = 0:nan "), ("v0 = 13.0", "v0 = nan"),
-        # beyond the divergence bound: 1e79 would overflow the first
-        # measurement, 2e6 diverge at the first step
+        # a start wheel speed v0/R_w beyond the divergence bound: 1e79
+        # would overflow the first measurement, 3.4e5 and 2e6 diverge at
+        # the first step
         ("v0 = 13.0", "v0 = 1e79"), ("v0 = 13.0", "v0 = 2e6"),
+        ("v0 = 13.0", "v0 = 3.4e5"),
         ("brake = 0:0", "brake = 0:0\n[events]\nnan friction all 0.9"),
         ("brake = 0:0", "brake = 0:0\n[events]\n1 elevation all inf"),
         ("brake = 0:0", "brake = 0:0\n[gains]\nkp_mz = inf"),
@@ -589,6 +688,18 @@ class TestCli:
         code = cli_main(["run", str(scn_file), "--out",
                          str(tmp_path / "out")])
         assert code == 2
+
+    def test_start_below_the_bound_that_blows_up_is_a_divergence(
+            self, tmp_path, capsys):
+        # v0/R_w is within BLOW_UP_LIMIT at 3e5 m/s, so the scenario is
+        # valid, but its first step spins the wheels past the bound
+        scn_file = tmp_path / "fast.scn"
+        scn_file.write_text(SHORT.replace("v0 = 13.0", "v0 = 3e5", 1))
+        code = cli_main(["run", str(scn_file), "--out",
+                         str(tmp_path / "out")])
+        assert code == 2
+        assert re.search(r"DIVERGED at t=0\.001: .* w_fl=\S+ after step 0",
+                         capsys.readouterr().err)
 
     def test_stability_subcommand(self, capsys):
         assert cli_main(["stability", "--v0", "20"]) == 0

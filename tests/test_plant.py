@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -14,7 +15,7 @@ from reference_plant import (body_accelerations, longitudinal_slip,
 from staballoc.linmodel import reduced_derivative
 from staballoc.params import G, VehicleParams
 from staballoc.plant import (STATE_NAMES, V_EPS, Inputs, PlantDiverged,
-                             clip_u, normal_forces, state_derivative,
+                             bind, clip_u, normal_forces, state_derivative,
                              step_rk4)
 
 ZERO4 = (0.0, 0.0, 0.0, 0.0)
@@ -41,6 +42,17 @@ class TestParams:
     def test_negative_damping_rejected(self):
         with pytest.raises(ValueError):
             VehicleParams(c_sf=-1.0)
+
+    def test_plant_bound_once_per_parameter_set(self):
+        # bind keeps the equations on the frozen params; neither equality
+        # nor a replaced copy sees them
+        p = VehicleParams()
+        plant = bind(p)
+        assert bind(p) is plant
+        assert p == VehicleParams() and hash(p) == hash(VehicleParams())
+        other = dataclasses.replace(p, mu=0.5)
+        assert bind(other) is not plant
+        assert "_plant" not in repr(p)
 
 
 class TestEnvelope:

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from staballoc.allocator import AllocatorConfig
 from staballoc.controllers import Gains
+from staballoc.params import VehicleParams
 from staballoc.plant import BLOW_UP_LIMIT
 from staballoc.scenario import (EVENT_TARGETS, ConfigError, Event,
                                 check_step, load_scenario, parse_scenario)
@@ -152,6 +153,7 @@ class TestScenarioRules:
 
     @pytest.mark.parametrize("change", [
         {"v0": -5.0}, {"v0": math.nan}, {"v0": math.inf}, {"v0": 2e6},
+        {"v0": BLOW_UP_LIMIT}, {"v0": 3.4e5},
         {"controller": "bogus"}, {"dt": 0.003}, {"dt": 0.0},
         {"horizon": math.nan}])
     def test_replacement_rejected(self, change):
@@ -159,9 +161,18 @@ class TestScenarioRules:
         with pytest.raises(ConfigError):
             dataclasses.replace(scn, **change)
 
-    def test_speed_up_to_the_blow_up_limit_accepted(self):
+    def test_speed_up_to_the_start_wheel_speed_bound_accepted(self):
+        # the start state spins each wheel at v0 / R_w, which may reach
+        # BLOW_UP_LIMIT but not pass it
         scn = parse_scenario(self.BASE)
-        assert dataclasses.replace(scn, v0=BLOW_UP_LIMIT).v0 == 1.0e6
+        r_w = VehicleParams().R_w
+        top = BLOW_UP_LIMIT * r_w
+        assert top / r_w <= BLOW_UP_LIMIT
+        assert dataclasses.replace(scn, v0=top).v0 == top
+        above = math.nextafter(top, math.inf)
+        assert above / r_w > BLOW_UP_LIMIT
+        with pytest.raises(ConfigError, match="v0/R_w"):
+            dataclasses.replace(scn, v0=above)
 
 
 class TestProfileErrors:
