@@ -7,6 +7,8 @@ polylines and axis labels), with no plotting dependency.
 """
 from __future__ import annotations
 
+from array import array
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -20,41 +22,76 @@ CSV_COLUMNS = (
     *ACTUATOR_NAMES, "N_fl", "N_fr", "N_rl", "N_rr",
     "v1", "v2", "v3", "v4", "v5", "resid",
 )
+_WIDTH = len(CSV_COLUMNS)
+_COLUMN_INDEX = {name: i for i, name in enumerate(CSV_COLUMNS)}
+_CSV_ROW = ",".join(["%r"] * _WIDTH) + "\n"     # %r of a float is its repr
+
+
+class _Columns(Mapping):
+    """The columns of a row buffer by name, read-only.
+
+    Each lookup gives one column as a strided read-only memoryview of the
+    buffer, so it copies nothing and a write through it raises TypeError.
+    While a view is alive the buffer cannot grow: RunLog.append then raises
+    BufferError.
+    """
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows: array):
+        self._rows = rows
+
+    def __getitem__(self, name: str) -> memoryview:
+        i = _COLUMN_INDEX[name]
+        return memoryview(self._rows)[i::_WIDTH].toreadonly()
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(CSV_COLUMNS)
+
+    def __len__(self) -> int:
+        return _WIDTH
 
 
 @dataclass
 class RunLog:
-    """Per-step record of one closed-loop run, columnar.
+    """Per-step record of one closed-loop run.
 
-    `cols` carries the fixed CSV schema (commanded actuator values);
-    `r_ref` additionally keeps the yaw-rate reference the spin metric
-    integrates.  A run that ends before its horizon records when and why
-    in `stopped_at` and `stop_reason`; `diverged` says whether the plant
-    diverged (stopped_at is then the time of the first bad state, which is
-    not logged) or the run was stopped on purpose (stopped_at is then the
-    time of the last logged row).
+    `rows` holds every logged value once, as 8-byte doubles, row after row
+    in CSV_COLUMNS order (commanded actuator values); `cols[name]` reads one
+    column of it.  `r_ref` additionally keeps the yaw-rate reference the
+    spin metric integrates, one value per row.  A run that ends before its
+    horizon records when and why in `stopped_at` and `stop_reason`;
+    `diverged` says whether the plant diverged (stopped_at is then the time
+    of the first bad state, which is not logged) or the run was stopped on
+    purpose (stopped_at is then the time of the last logged row).
     """
     scenario: str = ""
     controller: str = ""
     dt: float = 0.0
-    cols: Dict[str, List[float]] = field(
-        default_factory=lambda: {c: [] for c in CSV_COLUMNS})
-    r_ref: List[float] = field(default_factory=list)
+    rows: array = field(default_factory=lambda: array("d"))
+    r_ref: array = field(default_factory=lambda: array("d"))
     diverged: bool = False
     stopped_at: Optional[float] = None
     stop_reason: str = ""
 
-    def __len__(self) -> int:
-        return len(self.cols["t"])
+    @property
+    def cols(self) -> Mapping[str, memoryview]:
+        return _Columns(self.rows)
 
-    def append(self, row: Sequence[float], r_ref: float) -> None:
-        """Append one row given in CSV_COLUMNS order."""
-        if len(row) != len(CSV_COLUMNS):
-            raise ValueError(f"a row of {len(row)} values, not "
-                             f"{len(CSV_COLUMNS)}")
-        for col, value in zip(self.cols.values(), row):
-            col.append(value)
+    def __len__(self) -> int:
+        return len(self.rows) // _WIDTH
+
+    def append(self, row: List[float], r_ref: float) -> None:
+        """Append one row given as a list in CSV_COLUMNS order.  A row of
+        another width raises ValueError and one holding a non-number
+        TypeError; either way nothing is appended."""
+        if len(row) != _WIDTH:
+            raise ValueError(f"a row of {len(row)} values, not {_WIDTH}")
         self.r_ref.append(r_ref)
+        try:
+            self.rows.fromlist(row)     # all of the row or none of it
+        except BaseException:
+            self.r_ref.pop()
+            raise
 
     def mark_stopped(self, t: float, reason: str) -> None:
         self.stopped_at = t
@@ -70,9 +107,8 @@ def emit_csv(log: RunLog, path: str | Path) -> Path:
     try:
         with open(path, "w", newline="") as fh:
             fh.write(",".join(CSV_COLUMNS) + "\n")
-            cols = [log.cols[c] for c in CSV_COLUMNS]
-            for row in zip(*cols):
-                fh.write(",".join(repr(v) for v in row) + "\n")
+            for row in zip(*[iter(log.rows)] * _WIDTH):
+                fh.write(_CSV_ROW % row)
     except OSError as exc:
         raise OSError(f"cannot write CSV to {path}: {exc}") from exc
     return path

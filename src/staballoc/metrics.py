@@ -35,22 +35,19 @@ def compute_metrics(log: RunLog) -> Metrics:
     if len(log) == 0:
         raise ValueError("empty log")
     dt = log.dt
-    psi = log.cols["psi"]
-    beta = log.cols["beta"]
-
     psi_ref = 0.0
     hold_steps = max(1, int(round(SPIN_HOLD / dt)))
     run = 0
     spin = False
-    for k in range(len(log)):
-        if abs(psi[k] - psi_ref) > SPIN_HEADING_ERR:
+    for psi, r_ref in zip(log.cols["psi"], log.r_ref):
+        if abs(psi - psi_ref) > SPIN_HEADING_ERR:
             run += 1
             if run >= hold_steps:
                 spin = True
                 break
         else:
             run = 0
-        psi_ref += log.r_ref[k] * dt
+        psi_ref += r_ref * dt
 
     lateral = float("nan")
     xs = log.cols["X"]
@@ -65,7 +62,7 @@ def compute_metrics(log: RunLog) -> Metrics:
             break
 
     return Metrics(
-        max_beta=max(abs(b) for b in beta),
+        max_beta=max(abs(b) for b in log.cols["beta"]),
         spin=spin,
         diverged=log.diverged,
         rms_roll=_rms(log.cols["phi"]),

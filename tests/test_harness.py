@@ -415,13 +415,15 @@ class TestPlantPathAgainstOracle:
 
 
 class TestMetrics:
-    def make_log(self, psi=0.0, n=1200, x_step=0.1):
+    def make_log(self, n=1200, x_step=0.1, psi=lambda k: 0.0,
+                 y=lambda k: 0.0):
         log = RunLog(scenario="t", controller="proposed", dt=0.001)
         for k in range(n):
             row = {c: 0.0 for c in CSV_COLUMNS}
             row["t"] = k * 0.001
-            row["psi"] = psi
+            row["psi"] = psi(k)
             row["X"] = x_step * k
+            row["Y"] = y(k)
             log.append([row[c] for c in CSV_COLUMNS], 0.0)
         return log
 
@@ -434,21 +436,25 @@ class TestMetrics:
         assert math.isnan(m.lateral_offset)
 
     def test_sustained_heading_error_raises_spin(self):
-        m = compute_metrics(self.make_log(psi=2.0))
+        m = compute_metrics(self.make_log(psi=lambda k: 2.0))
         assert m.spin
 
     def test_short_heading_excursion_does_not(self):
-        log = self.make_log(psi=0.0, n=1200)
-        for k in range(300, 600):  # 0.3 s excursion < 0.5 s hold
-            log.cols["psi"][k] = 2.0
+        # 0.3 s excursion < 0.5 s hold
+        log = self.make_log(psi=lambda k: 2.0 if 300 <= k < 600 else 0.0)
         assert not compute_metrics(log).spin
 
+    def test_excursion_past_the_hold_spins(self):
+        # 0.6 s excursion > 0.5 s hold, so the case above can fail
+        log = self.make_log(psi=lambda k: 2.0 if 300 <= k < 900 else 0.0)
+        assert compute_metrics(log).spin
+
     def test_lateral_offset_interpolated_at_line(self):
-        log = self.make_log(n=1200, x_step=0.1)
-        for k in range(1200):
-            log.cols["Y"][k] = 0.05 * k * 0.001 * 100
+        # X reaches the line a third of the way from row 333 to row 334
+        log = self.make_log(x_step=0.3, y=lambda k: 0.005 * k)
         m = compute_metrics(log)
-        assert not math.isnan(m.lateral_offset)
+        assert m.lateral_offset == pytest.approx(0.005 * 100.0 / 0.3,
+                                                 rel=1e-9)
 
 
 class TestSweep:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import pytest
 
@@ -21,21 +22,77 @@ def make_log(n=20):
     return log
 
 
+def snapshot(log):
+    return [list(log.cols[c]) for c in CSV_COLUMNS], list(log.r_ref)
+
+
 class TestRunLog:
     def test_append_takes_a_row_in_csv_order(self):
         log = RunLog()
         log.append([float(i) for i in range(len(CSV_COLUMNS))], -1.0)
-        assert [log.cols[c] for c in CSV_COLUMNS] == \
+        assert [list(log.cols[c]) for c in CSV_COLUMNS] == \
             [[float(i)] for i in range(len(CSV_COLUMNS))]
-        assert log.r_ref == [-1.0] and len(log) == 1
+        assert list(log.r_ref) == [-1.0] and len(log) == 1
 
     @pytest.mark.parametrize("width", [32, 34])
     def test_row_of_another_width_is_rejected_whole(self, width):
-        log = RunLog()
+        log = make_log(3)
+        before = snapshot(log)
         with pytest.raises(ValueError, match=f"a row of {width} values"):
             log.append([0.0] * width, 0.0)
-        assert all(col == [] for col in log.cols.values())
-        assert log.r_ref == []
+        assert snapshot(log) == before and len(log) == 3
+
+    @pytest.mark.parametrize("where", [0, 32, "r_ref"])
+    @pytest.mark.parametrize("bad", ["x", None])
+    def test_non_number_is_rejected_whole(self, where, bad):
+        # a value that is not a number must not reach the CSV
+        log = make_log(3)
+        before = snapshot(log)
+        row, r_ref = [1.0] * len(CSV_COLUMNS), 0.5
+        if where == "r_ref":
+            r_ref = bad
+        else:
+            row[where] = bad
+        with pytest.raises(TypeError):
+            log.append(row, r_ref)
+        assert snapshot(log) == before and len(log) == 3
+
+    def test_columns_are_read_only(self):
+        log = make_log(3)
+        before = snapshot(log)
+        with pytest.raises(TypeError):
+            log.cols["psi"][0] = 2.0
+        with pytest.raises(TypeError):
+            log.cols["psi"] = [2.0] * 3
+        assert snapshot(log) == before
+
+    def test_append_while_a_column_view_is_held_is_rejected_whole(self):
+        log = make_log(3)
+        before = snapshot(log)
+        t = log.cols["t"]
+        with pytest.raises(BufferError):
+            log.append([1.0] * len(CSV_COLUMNS), 0.5)
+        t.release()
+        assert snapshot(log) == before
+        log.append([1.0] * len(CSV_COLUMNS), 0.5)
+        assert len(log) == 4
+
+    def test_memory_per_logged_value(self):
+        # each value is one 8-byte double in the row buffer, not a boxed
+        # float; every row holds fresh floats, as a closed-loop run's do
+        width = len(CSV_COLUMNS) + 1          # the row and its r_ref
+        n = 10_000
+        tracemalloc.start()
+        try:
+            log = RunLog()
+            before = tracemalloc.get_traced_memory()[0]
+            for k in range(n):
+                log.append([k + 1e-3 * i for i in range(width - 1)], k * 0.5)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(log) == n
+        assert grown <= 10 * n * width, grown / (n * width)
 
 
 class TestCsv:
@@ -51,7 +108,7 @@ class TestCsv:
         path = emit_csv(log, tmp_path / "demo.csv")
         data = parse_csv(path)
         for c in CSV_COLUMNS:
-            assert data[c] == log.cols[c]
+            assert data[c] == list(log.cols[c])
 
     @pytest.mark.parametrize("controller", ["proposed", "baseline", "hybrid"])
     def test_closed_loop_run_round_trips(self, tmp_path, scenario_dir,
