@@ -154,6 +154,16 @@ def yaw_rate_reference(delta_in: float, v_x: float, g: Gains,
     return max(-limit, min(limit, r_ref))
 
 
+def traction_demand(f_ref: float, F: float, g: Gains, cs: ControllerState,
+                    dt: float) -> float:
+    """Entry 1 of the virtual control: the traction-force PI on the demand
+    f_ref and the measured force F, clamped to v_max_f; advances
+    cs.i_force."""
+    f_err = f_ref - F
+    cs.i_force = clip(cs.i_force + f_err * dt, g.i_max_f)
+    return clip(g.kp_f * f_err + g.ki_f * cs.i_force, g.v_max_f)
+
+
 def virtual_control(delta_in: float, f_ref: float, meas: Dict[str, float],
                     g: Gains, cs: ControllerState, dt: float,
                     p: VehicleParams) -> Tuple[List[float], float]:
@@ -168,10 +178,7 @@ def virtual_control(delta_in: float, f_ref: float, meas: Dict[str, float],
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     r_ref = yaw_rate_reference(delta_in, meas["Vx"], g, p)
-
-    f_err = f_ref - meas["F"]
-    cs.i_force = clip(cs.i_force + f_err * dt, g.i_max_f)
-    f_c = g.kp_f * f_err + g.ki_f * cs.i_force
+    f_c = traction_demand(f_ref, meas["F"], g, cs, dt)
 
     beta = meas["beta"]
     r_err = r_ref - meas["r"]
@@ -192,7 +199,7 @@ def virtual_control(delta_in: float, f_ref: float, meas: Dict[str, float],
     m_y = -g.kp_pitch * meas["theta"] - g.kd_pitch * meas["thetad"] \
         - g.ki_pitch * cs.i_pitch
 
-    return [clip(f_c, g.v_max_f), clip(f_yc, g.v_max_fy),
+    return [f_c, clip(f_yc, g.v_max_fy),
             clip(m_z, g.v_max_mz), clip(m_x, g.v_max_mx),
             clip(m_y, g.v_max_my)], r_ref
 

@@ -24,7 +24,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .allocator import AdaptiveAllocator, measured_net
 from .controllers import (ControllerState, Gains, baseline_rear_steer,
                           baseline_suspension, baseline_traction,
-                          virtual_control)
+                          traction_demand, virtual_control,
+                          yaw_rate_reference)
 from .linmodel import build_bl, build_bn
 from .logio import RunLog
 from .metrics import compute_metrics
@@ -94,10 +95,11 @@ class _Loop:
                 ) -> Tuple[List[float], List[float], float, float]:
         """Returns (u_commanded, v, r_ref, residual), all in floats."""
         normals = meas["N"]
-        v, r_ref = virtual_control(delta_in, f_ref, meas, self.gains,
-                                   self.cs, dt, p)
         if self.mode == "baseline":
-            f_c = v[0]
+            # of the virtual control, the baseline uses only the traction
+            # demand and logs v as zeros
+            r_ref = yaw_rate_reference(delta_in, meas["Vx"], self.gains, p)
+            f_c = traction_demand(f_ref, meas["F"], self.gains, self.cs, dt)
             d_r = baseline_rear_steer(delta_in, meas["Vx"],
                                       normals[0] + normals[1],
                                       normals[2] + normals[3],
@@ -108,6 +110,8 @@ class _Loop:
             u = [delta_in, delta_in, d_r, d_r, *torques, *f_z]
             return clip_u(u), [0.0] * 5, r_ref, 0.0
 
+        v, r_ref = virtual_control(delta_in, f_ref, meas, self.gains,
+                                   self.cs, dt, p)
         if self.mode == "hybrid":
             v[3] = 0.0
             v[4] = 0.0
@@ -199,12 +203,14 @@ def sweep_max_speed(scn: Scenario, controller: str,
     Survival: no spin flag, no divergence, and max |beta| below BETA_LIMIT.
     A failing run ends at the step whose |beta| reaches BETA_LIMIT, since
     the rest of it cannot change the verdict.  The top of the range is run
-    first and returned if it survives; otherwise v_min is run (NaN if it
-    fails too) and the speed bisected to the given resolution, assuming a
-    single stability threshold in the range.  So a range whose top
-    survives gives v_max even if its bottom fails, and a range where
-    nothing survives costs two runs.  Raises ConfigError unless
-    0 <= v_min <= v_max < inf and 0 < resolution < inf.
+    first and returned if it survives; otherwise the speed is bisected to
+    the given resolution, assuming a single stability threshold in the
+    range.  v_min is run last, and only if no midpoint survived: NaN if it
+    fails.  So a range whose top or any visited midpoint survives gives
+    that answer even if its bottom fails, and a range where nothing
+    survives costs the top, every halving and the bottom, all stopped
+    early.  Raises ConfigError unless 0 <= v_min <= v_max < inf and
+    0 < resolution < inf.
     """
     if not 0.0 <= v_min <= v_max < math.inf:
         raise ConfigError(f"speed range [{v_min!r}, {v_max!r}] must have "
@@ -220,8 +226,6 @@ def sweep_max_speed(scn: Scenario, controller: str,
 
     if stable(v_max):
         return v_max
-    if v_min == v_max or not stable(v_min):
-        return float("nan")
     lo, hi = v_min, v_max
     while hi - lo > resolution:
         mid = 0.5 * (lo + hi)
@@ -229,4 +233,6 @@ def sweep_max_speed(scn: Scenario, controller: str,
             lo = mid
         else:
             hi = mid
+    if lo == v_min and (v_min == v_max or not stable(v_min)):
+        return float("nan")
     return lo

@@ -28,7 +28,7 @@ breakpoint lists ``t:value`` separated by whitespace.
 Every value rule lives in the object it constrains (:class:`Event`,
 :class:`Events`, :class:`Scenario`, the settings and profiles), so it holds
 however a Scenario is built.  The parser adds only the rules of the text:
-no repeated section or key, every number finite, and every event fires (no
+no unknown or repeated section or key, every number finite, and every event fires (no
 later than the start of the last step).  All raise ConfigError.
 """
 from __future__ import annotations
@@ -37,7 +37,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .allocator import AllocatorConfig
 from .controllers import DriverInput, Gains, PiecewiseLinear
@@ -45,6 +45,8 @@ from .params import ConfigError, VehicleParams
 from .plant import ACTUATOR_NAMES, BLOW_UP_LIMIT
 
 CONTROLLERS = ("proposed", "baseline", "hybrid")
+SCENARIO_KEYS = ("name", "v0", "horizon", "dt", "controller")
+DRIVER_KEYS = ("steer", "pedal", "brake")  # profiles, each "0:0" if absent
 
 R_W = VehicleParams().R_w  # stock wheel radius; a run starts at w = v0/R_W
 
@@ -202,15 +204,21 @@ def _number(text: str, where: str) -> float:
     return value
 
 
+def _check_names(values: Dict[str, str], names: Iterable[str],
+                 section: str) -> None:
+    """ConfigError naming every key of `[section]` that is not in names."""
+    unknown = set(values) - set(names)
+    if unknown:
+        raise ConfigError(f"unknown [{section}] names: {sorted(unknown)}")
+
+
 def _settings(cls, values: Dict[str, str], section: str):
     """`cls` built from the `[section]` entries, the rest at their defaults.
 
     A name that is not a field of cls is a ConfigError; cls checks the
     values themselves.
     """
-    unknown = set(values) - {f.name for f in fields(cls)}
-    if unknown:
-        raise ConfigError(f"unknown [{section}] names: {sorted(unknown)}")
+    _check_names(values, {f.name for f in fields(cls)}, section)
     return cls(**{k: _number(v, f"[{section}] {k}")
                   for k, v in values.items()})
 
@@ -276,24 +284,21 @@ def parse_scenario(text: str, name: Optional[str] = None) -> Scenario:
                               f"[{section}]")
         keyvals[section][key] = value.strip()
 
-    sc = keyvals["scenario"]
+    sc, drv = keyvals["scenario"], keyvals["driver"]
+    _check_names(sc, SCENARIO_KEYS, "scenario")
+    _check_names(drv, DRIVER_KEYS, "driver")
     try:
         v0, horizon, dt = (_number(sc[k], f"[scenario] {k}")
                            for k in ("v0", "horizon", "dt"))
     except KeyError as exc:
         raise ConfigError(f"[scenario] is missing {exc.args[0]!r}") from exc
 
-    drv = keyvals["driver"]
-    driver = DriverInput(
-        steer=_parse_profile(drv.get("steer", "0:0"), "steer"),
-        pedal=_parse_profile(drv.get("pedal", "0:0"), "pedal"),
-        brake=_parse_profile(drv.get("brake", "0:0"), "brake"),
-    )
-
     scn = Scenario(
         name=sc.get("name", name or "unnamed"),
         v0=v0, horizon=horizon, dt=dt,
-        driver=driver, controller=sc.get("controller", "proposed"),
+        driver=DriverInput(**{k: _parse_profile(drv.get(k, "0:0"), k)
+                              for k in DRIVER_KEYS}),
+        controller=sc.get("controller", "proposed"),
         events=tuple(events),
         gains=_settings(Gains, keyvals["gains"], "gains"),
         allocator=_settings(AllocatorConfig, keyvals["allocator"],

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from reference_profile import profile_value
 from staballoc.controllers import (ControllerState, DriverInput, Gains,
                                    PiecewiseLinear, baseline_rear_steer,
                                    baseline_suspension, baseline_traction,
-                                   virtual_control, yaw_rate_reference)
+                                   traction_demand, virtual_control,
+                                   yaw_rate_reference)
 from staballoc.params import G, ConfigError
 from staballoc.scenario import parse_scenario
 
@@ -171,6 +173,30 @@ class TestVirtualControl:
         with pytest.raises(ValueError):
             virtual_control(0.0, 0.0, zero_meas(), Gains(),
                             ControllerState(), 0.0, params)
+
+
+class TestTractionDemand:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_the_first_virtual_control_entry(self, params, seed):
+        # one step sequence through both, with bounds small enough that
+        # both clamps act; v[0] and the force integrator agree bit for bit
+        rng = random.Random(seed)
+        g = Gains(i_max_f=rng.choice([5000.0, 50.0]),
+                  v_max_f=rng.choice([13000.0, 900.0]))
+        cs_vc, cs_td = ControllerState(), ControllerState()
+        for _ in range(300):
+            f_ref = rng.uniform(-2e4, 2e4)
+            meas = zero_meas(F=rng.uniform(-2e4, 2e4),
+                             beta=rng.uniform(-0.2, 0.2),
+                             r=rng.uniform(-1.0, 1.0),
+                             phi=rng.uniform(-0.1, 0.1))
+            dt = rng.choice([1e-3, 5e-3, 0.02])
+            v, _ = virtual_control(rng.uniform(-0.2, 0.2), f_ref, meas, g,
+                                   cs_vc, dt, params)
+            f_c = traction_demand(f_ref, meas["F"], g, cs_td, dt)
+            assert f_c.hex() == v[0].hex()
+            assert cs_td.i_force.hex() == cs_vc.i_force.hex()
+        assert cs_td.i_yaw == cs_td.i_roll == 0.0
 
 
 class TestBaselineRearSteer:

@@ -194,6 +194,25 @@ class TestRunScenario:
             assert all(v == 0.0 for v in log.cols[ch])
         assert log.cols["X"][-1] == 0.0
 
+    def test_baseline_leaves_the_unused_integrators_at_zero(self,
+                                                             monkeypatch):
+        # the baseline reads only the traction demand of the virtual
+        # control, so the yaw, side-slip, roll and pitch integrators of the
+        # virtual control never move; its own three do
+        states = []
+
+        def recorded():
+            states.append(ControllerState())
+            return states[-1]
+        monkeypatch.setattr(harness, "ControllerState", recorded)
+        log = run_scenario(parse_scenario(SHORT), controller="baseline")
+        assert not log.diverged and len(states) == 1
+        cs = states[0]
+        for name in ("i_yaw", "i_beta_mz", "i_beta_fy", "i_roll", "i_pitch"):
+            assert float.hex(getattr(cs, name)) == "0x0.0p+0", name
+        assert cs.i_force != 0.0
+        assert cs.i_roll_base != 0.0 and cs.i_pitch_base != 0.0
+
     def test_all_controllers_complete_short_run(self):
         scn = parse_scenario(SHORT)
         for ctrl in ("proposed", "baseline", "hybrid"):
@@ -463,6 +482,19 @@ class TestSweep:
         assert sweep_max_speed(scn, "baseline", 5.0, 5.0,
                                resolution=0.25) == 5.0
 
+    def test_failing_degenerate_range_runs_once(self, monkeypatch):
+        speeds = []
+
+        def run(scn, controller=None, beta_limit=math.inf):
+            speeds.append(scn.v0)
+            return scn.v0
+        monkeypatch.setattr(harness, "run_scenario", run)
+        monkeypatch.setattr(harness, "compute_metrics", lambda v0: (
+            SimpleNamespace(spin=True, diverged=False, max_beta=0.0)))
+        got = sweep_max_speed(parse_scenario(SHORT), "baseline", 5.0, 5.0,
+                              resolution=0.25)
+        assert math.isnan(got) and speeds == [5.0]
+
     def test_empty_range_rejected(self):
         scn = parse_scenario(SHORT)
         with pytest.raises(ValueError):
@@ -486,10 +518,16 @@ class TestSweep:
     @pytest.mark.parametrize("survives, answer, visited", [
         # the top survives: one run, even though the bottom would fail
         (lambda v: v >= 20.0, 26.0, [26.0]),
-        # the top fails: the bottom, then bisection to 4 m/s
-        (lambda v: v <= 18.8, 18.0, [26.0, 10.0, 18.0, 22.0]),
-        # nothing survives: the top and the bottom
-        (lambda v: False, math.nan, [26.0, 10.0])])
+        # the top fails: bisection to 4 m/s; a midpoint survived, so the
+        # bottom is never run
+        (lambda v: v <= 18.8, 18.0, [26.0, 18.0, 22.0]),
+        # nothing survives: the top, every midpoint, then the bottom
+        (lambda v: False, math.nan, [26.0, 18.0, 14.0, 10.0]),
+        # the bottom would fail, but a midpoint survives: the bisection
+        # answer, and the bottom is never run
+        (lambda v: 12.0 < v <= 18.8, 18.0, [26.0, 18.0, 22.0]),
+        # no midpoint survives, the bottom does: the bottom is run last
+        (lambda v: v <= 12.0, 10.0, [26.0, 18.0, 14.0, 10.0])])
     def test_top_of_the_range_is_run_first(self, monkeypatch, survives,
                                            answer, visited):
         speeds = []

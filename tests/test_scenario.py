@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from staballoc.allocator import AllocatorConfig
+from staballoc.cli import main as cli_main
 from staballoc.controllers import Gains
 from staballoc.params import VehicleParams
 from staballoc.plant import BLOW_UP_LIMIT
@@ -144,6 +145,33 @@ class TestValidation:
         with pytest.raises(ConfigError):
             parse_scenario("[scenario]\nv0 = 10\nhorizon = 1\ndt = 0.001\n"
                            + section)
+
+
+class TestUnknownKeys:
+    """A misspelt key is never dropped: `contoller` used to run the
+    default controller and `stear` to run without steering."""
+    HEAD = "[scenario]\nv0 = 10\nhorizon = 1\ndt = 0.001\n"
+
+    @pytest.mark.parametrize("text, section, names", [
+        (HEAD + "contoller = baseline\n", "scenario", ["contoller"]),
+        (HEAD + "speed = 3\nv_0 = 4\n", "scenario", ["speed", "v_0"]),
+        (HEAD + "[driver]\nstear = 0:0 0.5:0.1\n", "driver", ["stear"]),
+        (HEAD + "[driver]\nsteer = 0:0\nthrottle = 0:100\n", "driver",
+         ["throttle"])])
+    def test_unknown_key_names_its_section(self, text, section, names):
+        with pytest.raises(ConfigError) as err:
+            parse_scenario(text)
+        assert str(err.value) == f"unknown [{section}] names: {names}"
+
+    @pytest.mark.parametrize("tail", ["contoller = baseline\n",
+                                      "[driver]\nstear = 0:0 0.5:0.1\n"])
+    def test_unknown_key_is_a_cli_config_error(self, tmp_path, capsys, tail):
+        scn_file = tmp_path / "typo.scn"
+        scn_file.write_text(self.HEAD + tail)
+        assert cli_main(["run", str(scn_file), "--out",
+                         str(tmp_path / "out")]) == 3
+        assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestScenarioRules:
