@@ -9,6 +9,9 @@ theta is adjusted online with a Lyapunov-based law under an entrywise box
 projection, so the realized efforts converge to v without identifying
 which actuators lost effectiveness.  The allocated command is
 u = B_n(t)^-1 u_bar; the harness adds the driver's front steering to it.
+The settings (AllocatorConfig) and the per-step inputs (the diagonal of
+B_n and the IMU net efforts) are plain floats from controllers.py, so
+only the allocator modes import this module and NumPy.
 
 Effort channels are pre-scaled to order one (forces and moments are in the
 kN range) so a single scalar adaptation rate is meaningful.
@@ -17,11 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .linmodel import C_ALPHA_DEFAULT, bn_is_invertible
-from .params import ConfigError, VehicleParams
+from .controllers import AllocatorConfig, bn_is_invertible
 
 
 def solve_lyapunov(a_m: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -71,31 +74,6 @@ def project_rate(theta: np.ndarray, q: np.ndarray, lo: np.ndarray,
     return q * np.minimum(room / eps, 1.0)
 
 
-@dataclass(frozen=True)
-class AllocatorConfig:
-    """Adaptation configuration; defaults match the shipped scenarios.
-
-    Every setting is checked when the config is built (ConfigError)."""
-    am_scale: float = 10.0        # A_m = -am_scale * I
-    gamma: float = 5000.0         # adaptation rate (normalized coordinates)
-    v_scale: float = 1.0e4        # effort pre-scaling to order one
-    theta_bound_factor: float = 50.0   # box half-width, per-entry, x|theta0|
-    theta_bound_floor: float = 5.0     # box half-width where theta0 is ~0
-    proj_margin: float = 0.05     # boundary-layer fraction of box width
-    c_alpha: float = C_ALPHA_DEFAULT
-
-    def __post_init__(self) -> None:
-        for name in ("am_scale", "gamma", "v_scale", "theta_bound_factor",
-                     "theta_bound_floor", "c_alpha"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise ConfigError(f"allocator {name} must be positive and "
-                                  f"finite, not {value!r}")
-        if not 0.0 < self.proj_margin < 1.0:
-            raise ConfigError(f"allocator proj_margin must be in (0, 1), "
-                              f"not {self.proj_margin!r}")
-
-
 @dataclass
 class StepResult:
     u: np.ndarray           # allocated command B_n^-1 u_bar (read only)
@@ -136,13 +114,14 @@ class AdaptiveAllocator:
         self.prev_u_ca = np.zeros(self.n_u)
         self.bn_failures = 0
 
-    def step(self, v: np.ndarray, realized: np.ndarray,
-             bn_diag: np.ndarray, dt: float) -> StepResult:
+    def step(self, v: Sequence[float], realized: Sequence[float],
+             bn_diag: Sequence[float], dt: float) -> StepResult:
         """One explicit-Euler update of the adaptation and the allocation.
 
         v and realized are in physical effort units; bn_diag is the current
-        diagonal of B_n.  When B_n is not invertible the previous allocation
-        is held and the result is flagged.
+        diagonal of B_n.  Each is any sequence of floats; the harness
+        passes a list and two tuples.  When B_n is not invertible the
+        previous allocation is held and the result is flagged.
         """
         if dt <= 0.0:
             raise ValueError("dt must be positive")
@@ -167,22 +146,3 @@ class AdaptiveAllocator:
         d = r_s - v_s
         return StepResult(u=self.prev_u_ca, u_bar=u_bar,
                           residual=math.sqrt(d.dot(d)), bn_ok=bn_ok)
-
-
-def measured_net(a_x: float, a_y: float, yaw_acc: float, roll_acc: float,
-                 pitch_acc: float, v_x: float, p: VehicleParams) -> np.ndarray:
-    """Net actuator-generated efforts reconstructed from IMU accelerations.
-
-    Known non-actuator contributions are removed: drag is added back on the
-    longitudinal channel and the load-transfer moments are compensated out
-    of the roll and pitch channels, so at rest the result is the zero
-    vector.
-    """
-    drag = 0.5 * p.rho * p.C_d * p.A_f * v_x * v_x
-    return np.array([
-        p.m * a_x + drag,
-        p.m * a_y,
-        p.I_z * yaw_acc,
-        p.I_x * roll_acc + p.m * a_y * p.h,
-        p.I_y * pitch_acc + p.m * a_x * p.h,
-    ])

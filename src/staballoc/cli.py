@@ -12,6 +12,9 @@ Subcommands::
 Exit codes: 0 completed, 2 the plant diverged, 3 configuration error
 (ConfigError: a bad scenario file, setting or argument).  Any other error
 during a run propagates with its traceback.
+
+Only the commands that use arrays import NumPy: run, figures and sweep
+with an allocator controller (proposed, hybrid), and stability.
 """
 from __future__ import annotations
 
@@ -26,7 +29,6 @@ from .logio import emit_csv, emit_svg_plots
 from .metrics import compute_metrics
 from .params import VehicleParams
 from .scenario import CONTROLLERS, ConfigError, load_scenario
-from .stability import max_closed_loop_eig
 
 EXIT_OK = 0
 EXIT_DIVERGED = 2
@@ -94,6 +96,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_stability(args: argparse.Namespace) -> int:
     if not 0.0 < args.v0 < math.inf:
         raise ConfigError(f"--v0 must be positive, not {args.v0!r}")
+    from .stability import max_closed_loop_eig
     p = VehicleParams()
     worst = max_closed_loop_eig(Gains(), args.v0, p)
     print(f"max Re(eig) of the closed loop at v0={args.v0:g} m/s: "

@@ -9,6 +9,10 @@ the front command, traction split inversely proportional to the normal
 loads, and independent roll/pitch suspension PIs.
 
 Controller integrators advance by explicit Euler with clamping anti-windup.
+The allocator's settings (AllocatorConfig) and its per-step inputs, the
+diagonal of B_n(t) and the net efforts reconstructed from the IMU, are
+formed here in plain floats; the array code is in allocator.py, which only
+the allocator modes import.
 """
 from __future__ import annotations
 
@@ -19,6 +23,10 @@ from typing import Dict, List, Sequence, Tuple
 
 from .params import G, ConfigError, VehicleParams
 from .plant import STEER_LIMIT, clip
+
+C_ALPHA_DEFAULT = 8.0  # per-unit-normal-force cornering gain [1/rad]
+
+BN_EPS = 1.0e-6  # |diagonal entries| below this flag B_n as non-invertible
 
 
 @dataclass(frozen=True)
@@ -131,6 +139,31 @@ class Gains:
                                       f"and finite, not {value!r}")
 
 
+@dataclass(frozen=True)
+class AllocatorConfig:
+    """Adaptation configuration; defaults match the shipped scenarios.
+
+    Every setting is checked when the config is built (ConfigError)."""
+    am_scale: float = 10.0        # A_m = -am_scale * I
+    gamma: float = 5000.0         # adaptation rate (normalized coordinates)
+    v_scale: float = 1.0e4        # effort pre-scaling to order one
+    theta_bound_factor: float = 50.0   # box half-width, per-entry, x|theta0|
+    theta_bound_floor: float = 5.0     # box half-width where theta0 is ~0
+    proj_margin: float = 0.05     # boundary-layer fraction of box width
+    c_alpha: float = C_ALPHA_DEFAULT
+
+    def __post_init__(self) -> None:
+        for name in ("am_scale", "gamma", "v_scale", "theta_bound_factor",
+                     "theta_bound_floor", "c_alpha"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ConfigError(f"allocator {name} must be positive and "
+                                  f"finite, not {value!r}")
+        if not 0.0 < self.proj_margin < 1.0:
+            raise ConfigError(f"allocator proj_margin must be in (0, 1), "
+                              f"not {self.proj_margin!r}")
+
+
 @dataclass
 class ControllerState:
     """Integrator accumulators, owned by one simulation instance."""
@@ -240,3 +273,41 @@ def baseline_suspension(theta: float, phi: float, g: Gains,
             -f_pitch - f_roll,
             f_pitch + f_roll,
             f_pitch - f_roll)
+
+
+def build_bn(steer: Sequence[float], normals: Sequence[float],
+             p: VehicleParams) -> Tuple[float, ...]:
+    """Diagonal of the time-varying factor of the effort map B_y(t) =
+    B_l B_n(t) (linmodel.build_bl is B_l): 4*N_i*cos(d_i)/m for the
+    steering channels, cos(d_i) for the torque channels, 1 for
+    suspension."""
+    cd = [math.cos(s) for s in steer]
+    return (4.0 * normals[0] * cd[0] / p.m,
+            4.0 * normals[1] * cd[1] / p.m,
+            4.0 * normals[2] * cd[2] / p.m,
+            4.0 * normals[3] * cd[3] / p.m,
+            cd[0], cd[1], cd[2], cd[3],
+            1.0, 1.0, 1.0, 1.0)
+
+
+def bn_is_invertible(bn_diag: Sequence[float]) -> bool:
+    """True when every diagonal entry of B_n is bounded away from zero; a
+    NaN entry is not."""
+    return all(abs(b) > BN_EPS for b in bn_diag)
+
+
+def measured_net(a_x: float, a_y: float, yaw_acc: float, roll_acc: float,
+                 pitch_acc: float, v_x: float, p: VehicleParams,
+                 ) -> Tuple[float, float, float, float, float]:
+    """Net actuator-generated efforts reconstructed from IMU accelerations.
+
+    Known non-actuator contributions are removed: drag is added back on the
+    longitudinal channel and the load-transfer moments are compensated out
+    of the roll and pitch channels, so at rest the result is all zeros.
+    """
+    drag = 0.5 * p.rho * p.C_d * p.A_f * v_x * v_x
+    return (p.m * a_x + drag,
+            p.m * a_y,
+            p.I_z * yaw_acc,
+            p.I_x * roll_acc + p.m * a_y * p.h,
+            p.I_y * pitch_acc + p.m * a_x * p.h)

@@ -19,20 +19,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple,
+                    Union)
 
-from .allocator import AdaptiveAllocator, measured_net
 from .controllers import (ControllerState, Gains, baseline_rear_steer,
-                          baseline_suspension, baseline_traction,
-                          traction_demand, virtual_control,
+                          baseline_suspension, baseline_traction, build_bn,
+                          measured_net, traction_demand, virtual_control,
                           yaw_rate_reference)
-from .linmodel import build_bl, build_bn
 from .logio import RunLog
 from .metrics import compute_metrics
 from .params import VehicleParams
-from .plant import (ZERO4, Inputs, PlantDiverged, _reg, clip_u,
+from .plant import (ZERO4, Inputs, PlantDiverged, _reg, bind, clip_u,
                     normal_forces, state_derivative, step_rk4)
 from .scenario import ConfigError, Events, Scenario, check_events, check_step
+
+if TYPE_CHECKING:
+    from .allocator import AdaptiveAllocator
 
 BETA_LIMIT = math.radians(15.0)  # a sweep run survives below this max|beta|
 
@@ -59,10 +61,16 @@ def road_elevation(events: Events, t: float,
     return events.at("elevation", t)
 
 
-def measure(x: List[float], prev_inputs: Inputs, p: VehicleParams) -> Dict:
+def measure(x: List[float], prev_inputs: Union[Inputs, tuple],
+            p: VehicleParams) -> Dict:
     """Sensor picture at the state list x: body rates and angles, inertial
     accelerations realized under the previously applied inputs, side slip,
-    and the four tire normal loads as one tuple N."""
+    and the four tire normal loads as one tuple N.
+
+    prev_inputs is the Inputs, or the terms bind(p).step_inputs formed of
+    them; the loop hands over the terms its last step_rk4 used."""
+    if type(prev_inputs) is Inputs:
+        prev_inputs = bind(p).step_inputs(prev_inputs)
     deriv = state_derivative(x, prev_inputs, p)
     v_x, v_y, r = x[0], x[1], x[2]
     a_x = deriv[0] - r * v_y
@@ -76,7 +84,7 @@ def measure(x: List[float], prev_inputs: Inputs, p: VehicleParams) -> Dict:
         "ax": a_x, "ay": a_y,
         "yaw_acc": deriv[2], "roll_acc": deriv[6], "pitch_acc": deriv[8],
         "F": p.m * a_x,
-        "N": normal_forces(x[9:17:2], prev_inputs.z_road, p),
+        "N": normal_forces(x[9:17:2], prev_inputs[1], p),
     }
 
 
@@ -142,7 +150,8 @@ def run_scenario(scn: Scenario, controller: Optional[str] = None,
     or a beta_limit that is not positive, raises ConfigError before any
     step.  The run stops early with a partial log when the plant diverges,
     or after the first step whose logged |beta| reaches beta_limit; up to
-    there the log is the same as that of the full run.
+    there the log is the same as that of the full run.  Only the allocator
+    modes import the array code (allocator, linmodel) and with it NumPy.
     """
     if not beta_limit > 0.0:
         raise ConfigError(f"beta_limit {beta_limit!r} is not positive")
@@ -156,6 +165,8 @@ def run_scenario(scn: Scenario, controller: Optional[str] = None,
 
     allocator = None
     if mode in ("proposed", "hybrid"):
+        from .allocator import AdaptiveAllocator
+        from .linmodel import build_bl
         allocator = AdaptiveAllocator(build_bl(p, scn.allocator.c_alpha),
                                       scn.allocator)
     loop = _Loop(mode=mode, gains=scn.gains, cs=ControllerState(),
@@ -164,8 +175,11 @@ def run_scenario(scn: Scenario, controller: Optional[str] = None,
     # straight driving at v0 with freely rolling wheels
     x = [scn.v0] + [0.0] * 16 + [scn.v0 / p.R_w] * 4 + [0.0] * 3
     events, driver = scn.events, scn.driver
-    prev_inputs = Inputs(lat_scale=friction_scale(events, 0.0),
-                         z_road=road_elevation(events, 0.0))
+    # each step's input-only terms, formed once for its step_rk4 and the
+    # next step's measurement
+    step_inputs = bind(p).step_inputs
+    prev_inputs = step_inputs(Inputs(lat_scale=friction_scale(events, 0.0),
+                                     z_road=road_elevation(events, 0.0)))
     log = RunLog(scenario=scn.name, controller=mode, dt=dt)
 
     for k in range(n_steps):
@@ -175,8 +189,9 @@ def run_scenario(scn: Scenario, controller: Optional[str] = None,
         f_ref = driver.force_ref(t)
         u_cmd, v, r_ref, resid = loop.command(delta_in, f_ref, meas, dt, p)
         u_eff = apply_faults(u_cmd, events, t)
-        inputs = Inputs(u_eff[0:4], u_eff[4:8], u_eff[8:12],
-                        road_elevation(events, t), friction_scale(events, t))
+        inputs = step_inputs(Inputs(u_eff[0:4], u_eff[4:8], u_eff[8:12],
+                                    road_elevation(events, t),
+                                    friction_scale(events, t)))
         # one row in CSV_COLUMNS order
         log.append([t, x[0], x[1], x[2], meas["beta"], x[3], x[5], x[7],
                     x[21], x[22], x[23], *u_cmd, *meas["N"], *v, resid],
@@ -205,12 +220,13 @@ def sweep_max_speed(scn: Scenario, controller: str,
     the rest of it cannot change the verdict.  The top of the range is run
     first and returned if it survives; otherwise the speed is bisected to
     the given resolution, assuming a single stability threshold in the
-    range.  v_min is run last, and only if no midpoint survived: NaN if it
-    fails.  So a range whose top or any visited midpoint survives gives
-    that answer even if its bottom fails, and a range where nothing
-    survives costs the top, every halving and the bottom, all stopped
-    early.  Raises ConfigError unless 0 <= v_min <= v_max < inf and
-    0 < resolution < inf.
+    range; it stops early once the midpoint rounds to either end (a
+    resolution below the float spacing of the range).  v_min is run last,
+    and only if no midpoint survived: NaN if it fails.  So a range whose
+    top or any visited midpoint survives gives that answer even if its
+    bottom fails, and a range where nothing survives costs the top, every
+    halving and the bottom, all stopped early.  Raises ConfigError unless
+    0 <= v_min <= v_max < inf and 0 < resolution < inf.
     """
     if not 0.0 <= v_min <= v_max < math.inf:
         raise ConfigError(f"speed range [{v_min!r}, {v_max!r}] must have "
@@ -229,6 +245,8 @@ def sweep_max_speed(scn: Scenario, controller: str,
     lo, hi = v_min, v_max
     while hi - lo > resolution:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
         if stable(mid):
             lo = mid
         else:

@@ -9,11 +9,12 @@ effort-to-state map B_v (both for the closed-loop stability check), the
 constant factor B_l, and the diagonal B_n(t), which carries all time
 dependence (normal loads and steering angles).  Moment-arm signs in B_l
 are taken from the yaw, roll and pitch equations of the plant, so the
-effort map B_y(t) = B_l * B_n(t) holds exactly.
+effort map B_y(t) = B_l * B_n(t) holds exactly.  B_n(t) is formed every
+step, in plain floats, by controllers.build_bn; this module holds the
+array code.
 """
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
@@ -24,10 +25,6 @@ from .plant import ZERO4, Inputs, bind, normal_forces
 N_X = 17
 N_U = 12
 N_V = 5
-
-C_ALPHA_DEFAULT = 8.0  # per-unit-normal-force cornering gain [1/rad]
-
-BN_EPS = 1.0e-6  # |diagonal entries| below this flag B_n as non-invertible
 
 FD_STEP = 1.0e-6  # central-difference step, relative to max(1, |x0_j|)
 
@@ -104,23 +101,3 @@ def build_bl(p: VehicleParams, c_alpha: float) -> np.ndarray:
         [0.0, 0.0, 0.0, -hw, b],             # fz_rr
     ]
     return np.array(cols).T
-
-
-def build_bn(steer: Sequence[float], normals: Sequence[float],
-             p: VehicleParams) -> np.ndarray:
-    """Diagonal of the time-varying factor: 4*N_i*cos(d_i)/m for the steering
-    channels, cos(d_i) for the torque channels, 1 for suspension."""
-    cd = [math.cos(s) for s in steer]
-    return np.array([
-        4.0 * normals[0] * cd[0] / p.m,
-        4.0 * normals[1] * cd[1] / p.m,
-        4.0 * normals[2] * cd[2] / p.m,
-        4.0 * normals[3] * cd[3] / p.m,
-        cd[0], cd[1], cd[2], cd[3],
-        1.0, 1.0, 1.0, 1.0,
-    ])
-
-
-def bn_is_invertible(bn_diag: np.ndarray) -> bool:
-    """True when every diagonal entry of B_n is bounded away from zero."""
-    return bool(np.abs(bn_diag).min() > BN_EPS)

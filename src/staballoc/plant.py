@@ -341,10 +341,14 @@ def _diverged(x: Sequence[float]) -> Optional[PlantDiverged]:
     return None
 
 
-def step_rk4(x: List[float], u: Inputs, p: VehicleParams,
+def step_rk4(x: List[float], u: Union[Inputs, tuple], p: VehicleParams,
              dt: float) -> List[float]:
     """Advance the state list one fixed step with the inputs held constant
     (zero-order hold).
+
+    u is the Inputs, or the terms bind(p).step_inputs formed of them, as
+    for state_derivative: the closed loop forms them once per step and
+    hands them to its next measurement too.
 
     Raises PlantDiverged, never silently clamps, when any entry of the
     result is non-finite or exceeds the blow-up bound, and also when a
@@ -353,12 +357,12 @@ def step_rk4(x: List[float], u: Inputs, p: VehicleParams,
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    # classical RK4; the input-only terms are formed once for the four
-    # stages, and each stage looks state_derivative up as a global
+    # classical RK4; the input-only terms are formed at most once for the
+    # four stages, and each stage looks state_derivative up as a global
     h = 0.5 * dt
     stage = x
     try:
-        si = bind(p).step_inputs(u)
+        si = bind(p).step_inputs(u) if type(u) is Inputs else u
         k1 = state_derivative(x, si, p)
         stage = [xi + h * ki for xi, ki in zip(x, k1)]
         k2 = state_derivative(stage, si, p)

@@ -39,8 +39,8 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .allocator import AllocatorConfig
-from .controllers import DriverInput, Gains, PiecewiseLinear
+from .controllers import AllocatorConfig, DriverInput, Gains, \
+    PiecewiseLinear
 from .params import ConfigError, VehicleParams
 from .plant import ACTUATOR_NAMES, BLOW_UP_LIMIT
 

@@ -15,8 +15,9 @@ from typing import Sequence
 import numpy as np
 
 from staballoc.allocator import AdaptiveAllocator, init_theta
-from staballoc.linmodel import (C_ALPHA_DEFAULT, FD_STEP, N_U, N_X,
-                                linearize, reduced_derivative)
+from staballoc.controllers import C_ALPHA_DEFAULT
+from staballoc.linmodel import FD_STEP, N_U, N_X, linearize, \
+    reduced_derivative
 from staballoc.params import VehicleParams
 
 # rows of the control state corresponding to heave and unsprung elevations;

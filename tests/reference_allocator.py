@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from staballoc.allocator import AdaptiveAllocator, StepResult
-from staballoc.linmodel import BN_EPS
+from staballoc.controllers import BN_EPS
 
 
 def project_rate(theta: np.ndarray, raw: np.ndarray,

@@ -12,13 +12,12 @@ import pytest
 import golden
 from effort_map import build_by, lyapunov_value, theta_star
 from plant_state import PlantState
-from staballoc.allocator import AdaptiveAllocator, AllocatorConfig, \
-    solve_lyapunov
+from staballoc.allocator import AdaptiveAllocator, solve_lyapunov
 from staballoc.cli import FIGURE_PAIRS
-from staballoc.controllers import Gains
+from staballoc.controllers import C_ALPHA_DEFAULT, AllocatorConfig, Gains, \
+    build_bn
 from staballoc.harness import run_scenario, sweep_max_speed
-from staballoc.linmodel import C_ALPHA_DEFAULT, build_bl, build_bn, \
-    linearize, reduced_derivative
+from staballoc.linmodel import build_bl, linearize, reduced_derivative
 from staballoc.logio import emit_csv
 from staballoc.metrics import compute_metrics
 from staballoc.params import VehicleParams

@@ -7,13 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 import reference_allocator as reference
 from effort_map import lyapunov_value, theta_star
-from staballoc.allocator import (AdaptiveAllocator, AllocatorConfig,
-                                 init_theta, measured_net, project_rate,
+from staballoc import allocator
+from staballoc.allocator import (AdaptiveAllocator, init_theta, project_rate,
                                  solve_lyapunov)
-from staballoc import harness
+from staballoc.controllers import (C_ALPHA_DEFAULT, AllocatorConfig,
+                                   bn_is_invertible, build_bn, measured_net)
 from staballoc.harness import run_scenario
-from staballoc.linmodel import (C_ALPHA_DEFAULT, bn_is_invertible, build_bl,
-                                build_bn)
+from staballoc.linmodel import build_bl
 from staballoc.params import ConfigError, VehicleParams
 from staballoc.scenario import load_scenario
 
@@ -273,8 +273,7 @@ class TestVehicleAllocation:
         v = np.array([2000.0, 0.0, 0.0, 0.0, 0.0])
         res1 = al.step(v, np.zeros(5), b_n, 1e-3)
         assert res1.bn_ok
-        bad = b_n.copy()
-        bad[0] = 0.0
+        bad = (0.0, *b_n[1:])
         res2 = al.step(v, np.zeros(5), bad, 1e-3)
         assert not res2.bn_ok
         assert al.bn_failures == 1
@@ -323,14 +322,15 @@ PLACES = ("theta0", "lo", "lo+", "hi-", "hi")
 
 @st.composite
 def step_inputs(draw):
-    """v (a list, as the harness passes it), realized and a B_n diagonal,
-    optionally with a zero entry."""
+    """v, realized and a B_n diagonal, optionally with a zero entry, as
+    lists; the step takes realized and B_n as tuples, as the harness
+    passes them."""
     v = draw(st.lists(SIGNED, min_size=5, max_size=5))
-    realized = np.array(draw(st.lists(SIGNED, min_size=5, max_size=5)))
-    bn = build_bn(draw(st.lists(st.floats(-0.6, 0.6), min_size=4,
-                                max_size=4)),
-                  draw(st.lists(st.floats(500.0, 8000.0), min_size=4,
-                                max_size=4)), P)
+    realized = draw(st.lists(SIGNED, min_size=5, max_size=5))
+    bn = list(build_bn(draw(st.lists(st.floats(-0.6, 0.6), min_size=4,
+                                     max_size=4)),
+                       draw(st.lists(st.floats(500.0, 8000.0), min_size=4,
+                                     max_size=4)), P))
     zero = draw(st.integers(-1, 11))
     if zero >= 0:
         bn[zero] = draw(st.sampled_from([0.0, -0.0]))
@@ -373,7 +373,7 @@ class TestAgainstReference:
                 else:
                     bn[i] = bad
             with np.errstate(invalid="ignore", over="ignore"):
-                assert_same_step(al, ref, v, realized, bn, dt)
+                assert_same_step(al, ref, v, tuple(realized), tuple(bn), dt)
 
     def test_closed_loop_bit_for_bit(self, bench):
         # a long closed loop with an effectiveness loss half way through
@@ -392,7 +392,9 @@ class TestAgainstReference:
         [1e-6, np.nextafter(1e-6, 1.0), -1e-6, 0.0, -0.0])),
         min_size=1, max_size=12))
     def test_bn_check_matches_reference(self, bn):
-        assert bn_is_invertible(np.array(bn)) == \
+        # the pure-Python check on the tuple the harness passes gives the
+        # NumPy verdict, NaN included
+        assert bn_is_invertible(tuple(bn)) is \
             reference.bn_is_invertible(np.array(bn))
 
 
@@ -441,7 +443,9 @@ class TestFrozenEntries:
                 super().__init__(*args)
                 made.append(self)
 
-        monkeypatch.setattr(harness, "AdaptiveAllocator", Recorded)
+        # run_scenario looks the class up in staballoc.allocator on each
+        # allocator-mode run, so that is where it is replaced
+        monkeypatch.setattr(allocator, "AdaptiveAllocator", Recorded)
         scn = load_scenario(scenario_dir / "suspension_fault.scn")
         run_scenario(dataclasses.replace(scn, horizon=1.1), controller)
         assert at_bound(made[0]) == expected

@@ -15,19 +15,20 @@ from hypothesis import given, settings, strategies as st
 import reference_plant as ref
 from plant_state import PlantState
 from staballoc import harness
-from staballoc.allocator import AdaptiveAllocator, AllocatorConfig, \
-    measured_net
+from staballoc.allocator import AdaptiveAllocator
 from staballoc.cli import main as cli_main
-from staballoc.controllers import ControllerState, Gains
+from staballoc.controllers import (C_ALPHA_DEFAULT, AllocatorConfig,
+                                   ControllerState, Gains, build_bn,
+                                   measured_net)
 from staballoc.harness import (BETA_LIMIT, _Loop, apply_faults, clip_u,
                                friction_scale, measure, road_elevation,
                                run_scenario, sweep_max_speed)
-from staballoc.linmodel import C_ALPHA_DEFAULT, build_bl, build_bn
+from staballoc.linmodel import build_bl
 from staballoc.logio import CSV_COLUMNS, RunLog
 from staballoc.metrics import compute_metrics
 from staballoc.params import VehicleParams
 from staballoc.plant import (ACTUATOR_NAMES, BLOW_UP_LIMIT, STATE_NAMES,
-                             U_LIMITS, ZERO4, Inputs, step_rk4)
+                             U_LIMITS, ZERO4, Inputs, bind, step_rk4)
 from staballoc.scenario import (ConfigError, Event, Events, load_scenario,
                                 parse_scenario)
 from staballoc.stability import max_closed_loop_eig
@@ -250,12 +251,15 @@ class TestRunScenario:
         # run pushes the command of the faulted rear-right steer onto its
         # bound and a healthy channel's applied input onto its own
         scn = load_scenario(scenario_dir / "actuator_fault.scn")
-        applied = []
+        made, applied = [], []
 
         def recording(x, u, p, dt):
-            applied.append([*u.steer, *u.torque, *u.f_z])
+            assert u == bind(p).step_inputs(made[-1])
+            applied.append([*made[-1].steer, *made[-1].torque,
+                            *made[-1].f_z])
             return step_rk4(x, u, p, dt)
         with pytest.MonkeyPatch.context() as mp:
+            record_inputs(mp, made)
             mp.setattr(harness, "step_rk4", recording)
             log = run_scenario(scn, controller="proposed")
         assert len(applied) == len(log) == 10000
@@ -389,6 +393,15 @@ def hexes(values):
     return [float(v).hex() for v in values]
 
 
+def record_inputs(mp, made):
+    """Record each Inputs the loop builds in made; the loop hands step_rk4
+    and the next measurement the terms bind(p).step_inputs forms of it."""
+    def recorded(*args, **kwargs):
+        made.append(Inputs(*args, **kwargs))
+        return made[-1]
+    mp.setattr(harness, "Inputs", recorded)
+
+
 class TestPlantPathAgainstOracle:
     """The closed loop steps and measures the plant as the helper-built
     oracle (tests/reference_plant.py) does, by float.hex, on a short run
@@ -399,17 +412,24 @@ class TestPlantPathAgainstOracle:
     @pytest.mark.parametrize("controller", ["proposed", "baseline",
                                             "hybrid"])
     def test_every_step_and_measurement(self, monkeypatch, controller):
-        applied = []
+        # made[-1] is the Inputs of this step in step_rk4, and those of the
+        # previous step (at first, the road and friction at t = 0) in
+        # measure; each is handed over as the terms formed of it
+        made, applied = [], []
 
-        def checked_step(x, u, p, dt):
-            nxt = step_rk4(x, u, p, dt)
+        def checked_step(x, terms, p, dt):
+            u = made[-1]
+            assert terms == bind(p).step_inputs(u)
+            nxt = step_rk4(x, terms, p, dt)
             want = ref.rk4(lambda v: ref.state_derivative(v, u, p), x, dt)
             assert hexes(nxt) == hexes(want), len(applied)
             applied.append(u)
             return nxt
 
-        def checked_measure(x, prev_inputs, p):
-            meas = measure(x, prev_inputs, p)
+        def checked_measure(x, prev_terms, p):
+            prev_inputs = made[-1]
+            assert prev_terms == bind(p).step_inputs(prev_inputs)
+            meas = measure(x, prev_terms, p)
             d = ref.state_derivative(x, prev_inputs, p)
             v_x, v_y, r = x[0], x[1], x[2]
             got = [meas[k] for k in ("ax", "ay", "yaw_acc", "roll_acc",
@@ -418,6 +438,7 @@ class TestPlantPathAgainstOracle:
                                         d[2], d[6], d[8]]), len(applied)
             return meas
 
+        record_inputs(monkeypatch, made)
         monkeypatch.setattr(harness, "step_rk4", checked_step)
         monkeypatch.setattr(harness, "measure", checked_measure)
         log = run_scenario(parse_scenario(ORACLE_RUN), controller=controller)
@@ -545,6 +566,31 @@ class TestSweep:
                               resolution=4.0)
         assert speeds == visited
         assert got == answer or math.isnan(got) and math.isnan(answer)
+
+
+    @pytest.mark.parametrize("survives, answer", [
+        (lambda v: v <= 18.8, 18.8), (lambda v: False, math.nan)])
+    def test_bisection_ends_at_the_float_spacing(self, monkeypatch,
+                                                  survives, answer):
+        # a resolution below the float spacing of the range: the bisection
+        # stops once the midpoint rounds to an end, about 50 halvings in
+        speeds = []
+
+        def run(scn, controller=None, beta_limit=math.inf):
+            if len(speeds) == 70:
+                raise AssertionError("the sweep did not end in 70 runs")
+            speeds.append(scn.v0)
+            return scn.v0
+
+        def metrics(v0):
+            return SimpleNamespace(spin=False, diverged=False,
+                                   max_beta=0.0 if survives(v0) else 1.0)
+        monkeypatch.setattr(harness, "run_scenario", run)
+        monkeypatch.setattr(harness, "compute_metrics", metrics)
+        got = sweep_max_speed(parse_scenario(SHORT), "baseline", 10.0, 26.0,
+                              resolution=1e-300)
+        assert got == answer or math.isnan(got) and math.isnan(answer)
+        assert len(speeds) == len(set(speeds)) < 70
 
 
 class TestStabilityCheck:

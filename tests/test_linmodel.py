@@ -5,9 +5,10 @@ import pytest
 
 from effort_map import ZEROED_ROWS, build_by, build_d, linear_model
 from plant_state import PlantState
-from staballoc.linmodel import (C_ALPHA_DEFAULT, bn_is_invertible, build_bl,
-                                build_bn, build_bv, linearize,
-                                reduced_derivative)
+from staballoc.controllers import C_ALPHA_DEFAULT, bn_is_invertible, \
+    build_bn
+from staballoc.linmodel import build_bl, build_bv, linearize, \
+    reduced_derivative
 from staballoc.plant import Inputs, state_derivative
 
 STATIC_STEER = (0.0, 0.0, 0.0, 0.0)

@@ -4,9 +4,8 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from staballoc.allocator import AllocatorConfig
 from staballoc.cli import main as cli_main
-from staballoc.controllers import Gains
+from staballoc.controllers import AllocatorConfig, Gains
 from staballoc.params import VehicleParams
 from staballoc.plant import BLOW_UP_LIMIT
 from staballoc.scenario import (EVENT_TARGETS, ConfigError, Event,
