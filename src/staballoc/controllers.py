@@ -2,13 +2,15 @@
 
 The high-level controller turns driver commands and measurements into the
 five-entry virtual control v = [F_c, F_yc, M_z, M_x, M_y]: a traction-force
-PI, a side-slip lateral-force PI, a yaw moment built from a yaw-rate PI
-plus a side-slip PI, and roll/pitch damping PIDs.  The baseline controller
-is the classical alternative: speed-scheduled rear steering proportional to
-the front command, traction split inversely proportional to the normal
-loads, and independent roll/pitch suspension PIs.
+PI (traction_demand), a side-slip lateral-force PI and a yaw moment built
+from a yaw-rate PI plus a side-slip PI (virtual_control, entries 1-3), and
+roll/pitch damping PIDs (attitude_moments, entries 4-5).  The baseline
+controller is the classical alternative: speed-scheduled rear steering
+proportional to the front command, traction split inversely proportional
+to the normal loads, and independent roll/pitch suspension PIs.
 
-Controller integrators advance by explicit Euler with clamping anti-windup.
+There is one integrator per integrand (ControllerState), advanced by
+explicit Euler with clamping anti-windup.
 The allocator's settings (AllocatorConfig) and its per-step inputs, the
 diagonal of B_n(t) and the net efforts reconstructed from the IMU, are
 formed here in plain floats; the array code is in allocator.py, which only
@@ -166,15 +168,15 @@ class AllocatorConfig:
 
 @dataclass
 class ControllerState:
-    """Integrator accumulators, owned by one simulation instance."""
+    """Integrator accumulators, one per integrand, owned by one simulation
+    instance.  i_beta feeds the lateral-force and the side-slip moment PI;
+    i_roll and i_pitch feed the moment PIDs or the baseline suspension,
+    whichever of the two laws the run uses."""
     i_force: float = 0.0
     i_yaw: float = 0.0
-    i_beta_mz: float = 0.0
-    i_beta_fy: float = 0.0
+    i_beta: float = 0.0
     i_roll: float = 0.0
     i_pitch: float = 0.0
-    i_roll_base: float = 0.0
-    i_pitch_base: float = 0.0
 
 
 def yaw_rate_reference(delta_in: float, v_x: float, g: Gains,
@@ -200,13 +202,13 @@ def traction_demand(f_ref: float, F: float, g: Gains, cs: ControllerState,
 def virtual_control(delta_in: float, f_ref: float, meas: Dict[str, float],
                     g: Gains, cs: ControllerState, dt: float,
                     p: VehicleParams) -> Tuple[List[float], float]:
-    """One sample of the virtual control vector and the yaw-rate reference.
+    """Entries 1-3 of the virtual control (traction force, lateral force,
+    yaw moment) and the yaw-rate reference for one sample.
 
     Each entry is clamped to its demand limit; a NaN passes through so the
     plant's divergence check sees it.
 
-    meas must provide F (longitudinal force m*a_x), beta, r, Vx, phi, phid,
-    theta, thetad.
+    meas must provide F (longitudinal force m*a_x), beta, r and Vx.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -216,25 +218,25 @@ def virtual_control(delta_in: float, f_ref: float, meas: Dict[str, float],
     beta = meas["beta"]
     r_err = r_ref - meas["r"]
     cs.i_yaw = clip(cs.i_yaw + r_err * dt, g.i_max_r)
-    cs.i_beta_mz = clip(cs.i_beta_mz + beta * dt, g.i_max_beta)
+    cs.i_beta = clip(cs.i_beta + beta * dt, g.i_max_beta)
     m1 = g.kp_mz * r_err + g.ki_mz * cs.i_yaw
-    m2 = g.kp_beta_mz * beta + g.ki_beta_mz * cs.i_beta_mz
-    m_z = m1 + m2
+    m2 = g.kp_beta_mz * beta + g.ki_beta_mz * cs.i_beta
+    f_yc = -g.kp_fy * beta - g.ki_fy * cs.i_beta
+    return [f_c, clip(f_yc, g.v_max_fy), clip(m1 + m2, g.v_max_mz)], r_ref
 
-    cs.i_beta_fy = clip(cs.i_beta_fy + beta * dt, g.i_max_beta)
-    f_yc = -g.kp_fy * beta - g.ki_fy * cs.i_beta_fy
 
+def attitude_moments(meas: Dict[str, float], g: Gains, cs: ControllerState,
+                     dt: float) -> List[float]:
+    """Entries 4-5 of the virtual control: the roll and pitch moment PIDs
+    on phi, phid, theta and thetad, clamped like the other entries;
+    advances cs.i_roll and cs.i_pitch."""
     cs.i_roll = clip(cs.i_roll + meas["phi"] * dt, g.i_max_roll)
     m_x = -g.kp_roll * meas["phi"] - g.kd_roll * meas["phid"] \
         - g.ki_roll * cs.i_roll
-
     cs.i_pitch = clip(cs.i_pitch + meas["theta"] * dt, g.i_max_pitch)
     m_y = -g.kp_pitch * meas["theta"] - g.kd_pitch * meas["thetad"] \
         - g.ki_pitch * cs.i_pitch
-
-    return [f_c, clip(f_yc, g.v_max_fy),
-            clip(m_z, g.v_max_mz), clip(m_x, g.v_max_mx),
-            clip(m_y, g.v_max_my)], r_ref
+    return [clip(m_x, g.v_max_mx), clip(m_y, g.v_max_my)]
 
 
 def baseline_rear_steer(delta_f: float, v_x: float, n_front: float,
@@ -262,13 +264,14 @@ def baseline_traction(f_c: float, normals: Sequence[float],
 def baseline_suspension(theta: float, phi: float, g: Gains,
                         cs: ControllerState, dt: float,
                         ) -> Tuple[float, float, float, float]:
-    """Independent roll/pitch PI control mapped to the four corners."""
+    """Independent roll/pitch PI control mapped to the four corners; it
+    advances the same i_pitch and i_roll as attitude_moments."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    cs.i_pitch_base = clip(cs.i_pitch_base + theta * dt, g.i_max_pitch)
-    cs.i_roll_base = clip(cs.i_roll_base + phi * dt, g.i_max_roll)
-    f_pitch = -g.kp_pitch_base * theta - g.ki_pitch_base * cs.i_pitch_base
-    f_roll = -g.kp_roll_base * phi - g.ki_roll_base * cs.i_roll_base
+    cs.i_pitch = clip(cs.i_pitch + theta * dt, g.i_max_pitch)
+    cs.i_roll = clip(cs.i_roll + phi * dt, g.i_max_roll)
+    f_pitch = -g.kp_pitch_base * theta - g.ki_pitch_base * cs.i_pitch
+    f_roll = -g.kp_roll_base * phi - g.ki_roll_base * cs.i_roll
     return (-f_pitch + f_roll,
             -f_pitch - f_roll,
             f_pitch + f_roll,

@@ -12,8 +12,8 @@ Controllers:
   baseline  - driver front steer, speed-scheduled rear steer, normal-force
               proportional traction, independent suspension PIs
   hybrid    - proposed traction/steering channels with the baseline
-              suspension controller (roll/pitch channels removed from the
-              virtual control)
+              suspension controller (the roll/pitch moment channels are
+              not computed and are logged as 0)
 """
 from __future__ import annotations
 
@@ -22,9 +22,10 @@ from dataclasses import dataclass, field, replace
 from typing import (TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple,
                     Union)
 
-from .controllers import (ControllerState, Gains, baseline_rear_steer,
-                          baseline_suspension, baseline_traction, build_bn,
-                          measured_net, traction_demand, virtual_control,
+from .controllers import (ControllerState, Gains, attitude_moments,
+                          baseline_rear_steer, baseline_suspension,
+                          baseline_traction, build_bn, measured_net,
+                          traction_demand, virtual_control,
                           yaw_rate_reference)
 from .logio import RunLog
 from .metrics import compute_metrics
@@ -120,9 +121,8 @@ class _Loop:
 
         v, r_ref = virtual_control(delta_in, f_ref, meas, self.gains,
                                    self.cs, dt, p)
-        if self.mode == "hybrid":
-            v[3] = 0.0
-            v[4] = 0.0
+        v += (attitude_moments(meas, self.gains, self.cs, dt)
+              if self.mode == "proposed" else [0.0, 0.0])
         realized = measured_net(meas["ax"], meas["ay"], meas["yaw_acc"],
                                 meas["roll_acc"], meas["pitch_acc"],
                                 meas["Vx"], p)

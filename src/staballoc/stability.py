@@ -1,10 +1,11 @@
 """Linear closed-loop stability check.
 
 The virtual-control loop is assembled in state space around the linearized
-plant x' = A x + B_v v: each PI/PID channel with a nonzero integral gain
-contributes one integrator state (the yaw channel can carry both a
-yaw-rate and a side-slip integrator), the derivative terms act on the
-roll/pitch rate states directly, and the longitudinal force feedback
+plant x' = A x + B_v v: there is one integrator state per integrand whose
+channels have a nonzero integral gain, as in ControllerState (the side-slip
+integral feeds two channels, the lateral force and the yaw moment), the
+derivative terms act on the roll/pitch rate states directly, and the
+longitudinal force feedback
 F = m*ax closes through an algebraic loop that is solved exactly.  The
 verdict is the largest real part over the eigenvalues of the assembled
 matrix.
@@ -23,7 +24,8 @@ IX_VY, IX_R, IX_PHI, IX_PHID, IX_THETA, IX_THETAD = 1, 2, 5, 6, 7, 8
 
 def closed_loop_matrix(g: Gains, v0: float, p: VehicleParams) -> np.ndarray:
     """Closed-loop matrix over the 17 plant states plus one state per
-    active controller integrator."""
+    integrand whose channels have a nonzero integral gain; the beta state
+    feeds channel 1 with -ki_fy and channel 2 with ki_beta_mz."""
     a = linearize(p, v0)
     b_v = build_bv(p)
     n = a.shape[0]
@@ -51,35 +53,24 @@ def closed_loop_matrix(g: Gains, v0: float, p: VehicleParams) -> np.ndarray:
     g_x[4, IX_THETA] = -g.kp_pitch
     g_x[4, IX_THETAD] = -g.kd_pitch
 
-    # integrators: (integrand on x, integrand on v, channel, gain on v_c);
-    # only channels with a nonzero integral gain carry a state
-    specs = []
-    if g.ki_f != 0.0:
-        specs.append((-force_row, np.array([-1.0, 0, 0, 0, 0]),
-                      0, g.ki_f / den))
-    if g.ki_fy != 0.0:
-        specs.append((beta_row, np.zeros(5), 1, -g.ki_fy))
-    if g.ki_mz != 0.0:
-        specs.append((-r_row, np.zeros(5), 2, g.ki_mz))
-    if g.ki_beta_mz != 0.0:
-        specs.append((beta_row, np.zeros(5), 2, g.ki_beta_mz))
-    if g.ki_roll != 0.0:
-        row = np.zeros(n)
-        row[IX_PHI] = 1.0
-        specs.append((row, np.zeros(5), 3, -g.ki_roll))
-    if g.ki_pitch != 0.0:
-        row = np.zeros(n)
-        row[IX_THETA] = 1.0
-        specs.append((row, np.zeros(5), 4, -g.ki_pitch))
+    # integrators: (integrand on x, integrand on v, {channel: gain on v_c})
+    unit = np.eye(n)
+    specs = [(-force_row, np.array([-1.0, 0, 0, 0, 0]), {0: g.ki_f / den}),
+             (beta_row, 0.0, {1: -g.ki_fy, 2: g.ki_beta_mz}),
+             (-r_row, 0.0, {2: g.ki_mz}),
+             (unit[IX_PHI], 0.0, {3: -g.ki_roll}),
+             (unit[IX_THETA], 0.0, {4: -g.ki_pitch})]
+    specs = [spec for spec in specs if any(spec[2].values())]
 
     n_q = len(specs)
     g_q = np.zeros((5, n_q))
     q_x = np.zeros((n_q, n))
     q_v = np.zeros((n_q, 5))
-    for j, (x_row, v_row, chan, gain) in enumerate(specs):
-        g_q[chan, j] = gain
+    for j, (x_row, v_row, chan_gains) in enumerate(specs):
         q_x[j, :] = x_row
         q_v[j, :] = v_row
+        for chan, gain in chan_gains.items():
+            g_q[chan, j] = gain
 
     a_cl = np.zeros((n + n_q, n + n_q))
     a_cl[:n, :n] = a + b_v @ g_x

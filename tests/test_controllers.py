@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_controllers as ref
 from reference_profile import profile_value
 from staballoc.controllers import (ControllerState, DriverInput, Gains,
-                                   PiecewiseLinear, baseline_rear_steer,
-                                   baseline_suspension, baseline_traction,
-                                   traction_demand, virtual_control,
-                                   yaw_rate_reference)
+                                   PiecewiseLinear, attitude_moments,
+                                   baseline_rear_steer, baseline_suspension,
+                                   baseline_traction, traction_demand,
+                                   virtual_control, yaw_rate_reference)
 from staballoc.params import G, ConfigError
 from staballoc.scenario import parse_scenario
 
@@ -102,8 +103,10 @@ class TestYawRateReference:
 
 class TestVirtualControl:
     def test_zero_errors_give_zero_output(self, params):
-        v, r_ref = virtual_control(0.0, 0.0, zero_meas(), Gains(),
-                                   ControllerState(), 1e-3, params)
+        cs = ControllerState()
+        v, r_ref = virtual_control(0.0, 0.0, zero_meas(), Gains(), cs,
+                                   1e-3, params)
+        v += attitude_moments(zero_meas(), Gains(), cs, 1e-3)
         assert r_ref == 0.0
         np.testing.assert_allclose(v, np.zeros(5), atol=1e-12)
 
@@ -115,9 +118,9 @@ class TestVirtualControl:
 
     def test_roll_moment_proportional_term(self, params):
         g = Gains(kp_roll=2.0e4, kd_roll=0.0, ki_roll=0.0)
-        v, _ = virtual_control(0.0, 0.0, zero_meas(phi=0.05), g,
-                               ControllerState(), 1e-3, params)
-        assert v[3] == pytest.approx(-1000.0, rel=1e-6)
+        m_x, _ = attitude_moments(zero_meas(phi=0.05), g, ControllerState(),
+                                  1e-3)
+        assert m_x == pytest.approx(-1000.0, rel=1e-6)
 
     def test_demand_caps_apply(self, params):
         g = Gains()
@@ -126,23 +129,28 @@ class TestVirtualControl:
         assert v[0] == g.v_max_f
 
     def test_output_is_floats_and_nan_passes_the_caps(self, params):
-        v, r_ref = virtual_control(0.0, 1.0e6, zero_meas(phi=math.nan),
-                                   Gains(), ControllerState(), 1e-3, params)
-        assert all(type(x) is float for x in v) and type(r_ref) is float
+        meas = zero_meas(beta=math.nan, phi=math.nan)
+        cs = ControllerState()
+        v, r_ref = virtual_control(0.0, 1.0e6, meas, Gains(), cs, 1e-3,
+                                   params)
+        m = attitude_moments(meas, Gains(), cs, 1e-3)
+        assert all(type(x) is float for x in v + m) and type(r_ref) is float
         assert v[0] == Gains().v_max_f
-        assert math.isnan(v[3])
+        assert math.isnan(v[1]) and math.isnan(v[2])
+        assert math.isnan(m[0]) and m[1] == 0.0
 
     @given(delta=st.floats(-0.3, 0.3), beta=st.floats(-0.3, 0.3),
            r=st.floats(-0.5, 0.5), phi=st.floats(-0.1, 0.1))
     @settings(max_examples=40)
     def test_mirror_symmetry(self, params, delta, beta, r, phi):
         g = Gains()
-        v1, rr1 = virtual_control(delta, 0.0,
-                                  zero_meas(beta=beta, r=r, phi=phi),
-                                  g, ControllerState(), 1e-3, params)
-        v2, rr2 = virtual_control(-delta, 0.0,
-                                  zero_meas(beta=-beta, r=-r, phi=-phi),
-                                  g, ControllerState(), 1e-3, params)
+
+        def sample(delta, meas):
+            cs = ControllerState()
+            v, r_ref = virtual_control(delta, 0.0, meas, g, cs, 1e-3, params)
+            return v + attitude_moments(meas, g, cs, 1e-3), r_ref
+        v1, rr1 = sample(delta, zero_meas(beta=beta, r=r, phi=phi))
+        v2, rr2 = sample(-delta, zero_meas(beta=-beta, r=-r, phi=-phi))
         assert rr2 == pytest.approx(-rr1, abs=1e-12)
         assert v2[1] == pytest.approx(-v1[1], abs=1e-9)  # lateral force
         assert v2[2] == pytest.approx(-v1[2], abs=1e-9)  # yaw moment
@@ -159,13 +167,12 @@ class TestVirtualControl:
         g = Gains()
         cs = ControllerState()
         for f_err, beta, r in data:
-            virtual_control(0.0, f_err,
-                            zero_meas(beta=beta, r=r, phi=beta,
-                                      theta=beta), g, cs, 1e-3, params)
+            meas = zero_meas(beta=beta, r=r, phi=beta, theta=beta)
+            virtual_control(0.0, f_err, meas, g, cs, 1e-3, params)
+            attitude_moments(meas, g, cs, 1e-3)
             assert abs(cs.i_force) <= g.i_max_f
             assert abs(cs.i_yaw) <= g.i_max_r
-            assert abs(cs.i_beta_mz) <= g.i_max_beta
-            assert abs(cs.i_beta_fy) <= g.i_max_beta
+            assert abs(cs.i_beta) <= g.i_max_beta
             assert abs(cs.i_roll) <= g.i_max_roll
             assert abs(cs.i_pitch) <= g.i_max_pitch
 
@@ -197,6 +204,103 @@ class TestTractionDemand:
             assert f_c.hex() == v[0].hex()
             assert cs_td.i_force.hex() == cs_vc.i_force.hex()
         assert cs_td.i_yaw == cs_td.i_roll == 0.0
+
+
+# each reference integrator and the one that replaces it: the side-slip
+# integral replaces both its copies, and the roll and pitch integrals those
+# of the law the mode runs (moment PIDs or baseline suspension)
+SHARED = {"i_force": "i_force", "i_yaw": "i_yaw", "i_beta_mz": "i_beta",
+          "i_beta_fy": "i_beta"}
+SUSPENSION = {**SHARED, "i_roll_base": "i_roll", "i_pitch_base": "i_pitch"}
+INTEGRATORS = {
+    "proposed": {**SHARED, "i_roll": "i_roll", "i_pitch": "i_pitch"},
+    "hybrid": SUSPENSION, "baseline": SUSPENSION}
+
+
+def sample(mode, delta, f_ref, meas, g, cs, dt, p):
+    """Every entry one controller sample of a mode produces, in order."""
+    if mode == "baseline":
+        return [traction_demand(f_ref, meas["F"], g, cs, dt),
+                *baseline_suspension(meas["theta"], meas["phi"], g, cs, dt)]
+    v, r_ref = virtual_control(delta, f_ref, meas, g, cs, dt, p)
+    if mode == "proposed":
+        return [*v, *attitude_moments(meas, g, cs, dt), r_ref]
+    return [*v, 0.0, 0.0,
+            *baseline_suspension(meas["theta"], meas["phi"], g, cs, dt),
+            r_ref]
+
+
+def reference_sample(mode, delta, f_ref, meas, g, cs, dt, p):
+    """The same sample through the eight-integrator controllers."""
+    if mode == "baseline":
+        return [ref.traction_demand(f_ref, meas["F"], g, cs, dt),
+                *ref.baseline_suspension(meas["theta"], meas["phi"], g, cs,
+                                         dt)]
+    v, r_ref = ref.virtual_control(delta, f_ref, meas, g, cs, dt, p)
+    if mode == "proposed":
+        return [*v, r_ref]
+    return [*v[:3], 0.0, 0.0,
+            *ref.baseline_suspension(meas["theta"], meas["phi"], g, cs, dt),
+            r_ref]
+
+
+class TestAgainstReference:
+    """The channel functions against the eight-integrator controllers they
+    replace (tests/reference_controllers.py), bit for bit."""
+
+    @pytest.mark.parametrize("mode", ["proposed", "hybrid", "baseline"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_eight_integrator_controllers(self, params, mode,
+                                                      seed):
+        # bounds small enough that every integrator and demand clamp acts,
+        # a nonzero side-slip moment integral gain, and one NaN measurement
+        # near the end that then runs through the integrators
+        rng = random.Random(seed)
+        g = Gains(ki_beta_mz=20000.0, i_max_f=50.0, i_max_r=0.01,
+                  i_max_beta=0.005, i_max_roll=0.002, i_max_pitch=0.003,
+                  v_max_f=900.0, v_max_fy=900.0, v_max_mz=1500.0,
+                  v_max_mx=1200.0, v_max_my=1500.0)
+        # the demand limits of the entries a mode clamps
+        limits = [g.v_max_f, g.v_max_fy, g.v_max_mz, g.v_max_mx,
+                  g.v_max_my][:1 if mode == "baseline" else 5]
+        bounds = {"i_force": g.i_max_f, "i_yaw": g.i_max_r,
+                  "i_beta": g.i_max_beta, "i_roll": g.i_max_roll,
+                  "i_pitch": g.i_max_pitch}
+        cs, cs_ref = ControllerState(), ref.ControllerState()
+        clamped = set()
+        nan_step = rng.randrange(250, 290)
+        for k in range(300):
+            meas = zero_meas(Vx=rng.uniform(0.0, 40.0),
+                             F=rng.uniform(-2e4, 2e4),
+                             beta=rng.uniform(-0.2, 0.2),
+                             r=rng.uniform(-1.0, 1.0),
+                             phi=rng.uniform(-0.1, 0.1),
+                             phid=rng.uniform(-1.0, 1.0),
+                             theta=rng.uniform(-0.1, 0.1),
+                             thetad=rng.uniform(-1.0, 1.0))
+            if k == nan_step:
+                meas[rng.choice(["F", "beta", "r", "phi", "theta"])] = \
+                    math.nan
+            args = (rng.uniform(-0.2, 0.2), rng.uniform(-2e4, 2e4), meas, g)
+            dt = rng.choice([1e-3, 5e-3, 0.02])
+            got = sample(mode, *args, cs, dt, params)
+            want = reference_sample(mode, *args, cs_ref, dt, params)
+            assert [x.hex() for x in got] == [x.hex() for x in want], k
+            for old, new in INTEGRATORS[mode].items():
+                assert getattr(cs, new).hex() == \
+                    getattr(cs_ref, old).hex(), (k, new)
+            clamped |= {name for name, lim in bounds.items()
+                        if abs(getattr(cs, name)) == lim}
+            clamped |= {i for i, (x, lim) in enumerate(zip(got, limits))
+                        if abs(x) == lim}
+        # every integrator the mode moves and every entry it clamps has been
+        # at its bound
+        moved = {"i_force", "i_roll", "i_pitch", 0}
+        if mode != "baseline":
+            moved |= {"i_yaw", "i_beta", 1, 2}
+        if mode == "proposed":
+            moved |= {3, 4}
+        assert clamped == moved
 
 
 class TestBaselineRearSteer:

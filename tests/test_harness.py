@@ -31,7 +31,7 @@ from staballoc.plant import (ACTUATOR_NAMES, BLOW_UP_LIMIT, STATE_NAMES,
                              U_LIMITS, ZERO4, Inputs, bind, step_rk4)
 from staballoc.scenario import (ConfigError, Event, Events, load_scenario,
                                 parse_scenario)
-from staballoc.stability import max_closed_loop_eig
+from staballoc.stability import closed_loop_matrix, max_closed_loop_eig
 
 SHORT = """
 [scenario]
@@ -198,8 +198,9 @@ class TestRunScenario:
     def test_baseline_leaves_the_unused_integrators_at_zero(self,
                                                              monkeypatch):
         # the baseline reads only the traction demand of the virtual
-        # control, so the yaw, side-slip, roll and pitch integrators of the
-        # virtual control never move; its own three do
+        # control, so the yaw and side-slip integrators never move; the
+        # traction integrator and the roll and pitch integrators, which its
+        # suspension shares with the moment PIDs, do
         states = []
 
         def recorded():
@@ -209,10 +210,22 @@ class TestRunScenario:
         log = run_scenario(parse_scenario(SHORT), controller="baseline")
         assert not log.diverged and len(states) == 1
         cs = states[0]
-        for name in ("i_yaw", "i_beta_mz", "i_beta_fy", "i_roll", "i_pitch"):
+        for name in ("i_yaw", "i_beta"):
             assert float.hex(getattr(cs, name)) == "0x0.0p+0", name
-        assert cs.i_force != 0.0
-        assert cs.i_roll_base != 0.0 and cs.i_pitch_base != 0.0
+        assert cs.i_force != 0.0 and cs.i_roll != 0.0 and cs.i_pitch != 0.0
+
+    def test_hybrid_never_runs_the_moment_pids(self, monkeypatch):
+        # the hybrid's suspension is the baseline's: it does not compute the
+        # roll and pitch moments, and logs them as 0
+        def raises(*args):
+            raise AssertionError("attitude_moments called")
+        monkeypatch.setattr(harness, "attitude_moments", raises)
+        scn = parse_scenario(SHORT)
+        log = run_scenario(scn, controller="hybrid")
+        assert len(log) == 2000 and not log.diverged
+        assert not any(log.cols["v4"]) and not any(log.cols["v5"])
+        with pytest.raises(AssertionError, match="attitude_moments"):
+            run_scenario(scn, controller="proposed")
 
     def test_all_controllers_complete_short_run(self):
         scn = parse_scenario(SHORT)
@@ -608,6 +621,18 @@ class TestStabilityCheck:
     def test_flipped_yaw_gain_detected_unstable(self, params):
         bad = Gains(kp_mz=-Gains().kp_mz, ki_mz=-Gains().ki_mz)
         assert max_closed_loop_eig(bad, 20.0, params) > 0.0
+
+    @pytest.mark.parametrize("ki_beta_mz", [-1000.0, 1000.0, 10000.0])
+    @pytest.mark.parametrize("v0", [5.0, 20.0, 30.0])
+    def test_one_side_slip_state(self, params, ki_beta_mz, v0):
+        # a side-slip moment integral gain adds no state: the side-slip
+        # integral that already feeds the lateral force feeds the yaw
+        # moment too.  A second state for the same integral would add an
+        # exact zero eigenvalue, whose sign is round-off.
+        g = Gains(ki_beta_mz=ki_beta_mz)
+        assert closed_loop_matrix(g, v0, params).shape == \
+            closed_loop_matrix(Gains(ki_beta_mz=0.0), v0, params).shape
+        assert max_closed_loop_eig(g, v0, params) < -1e-3
 
 
 class TestCli:
