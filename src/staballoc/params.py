@@ -1,8 +1,12 @@
-"""Vehicle parameter set shared by the plant, the controllers and the allocator.
+"""The vehicle: its data, and the geometry and statics derived from them.
 
 Defaults describe the mid-size passenger car used in every shipped scenario.
 Tire curve coefficients, rolling-resistance coefficients and the friction
 scale are configurable; the remaining entries are the stock vehicle data.
+``VehicleParams`` adds what the plant, the controllers, the allocator and
+the metrics share: the wheelbase, the hub-angle sines and cosines, the
+static wheel loads and the weight.  The constants of the plant equations
+are not kept here; ``plant.bind`` forms them once per parameter set.
 All quantities are SI.  :class:`ConfigError` lives here, the lowest layer,
 so every module that checks user configuration can raise it.
 """
@@ -58,7 +62,7 @@ class VehicleParams:
     E2: float = -1.2
     mu: float = 1.0
 
-    # derived quantities, filled in __post_init__
+    # geometry and statics, filled in __post_init__
     L: float = field(init=False, repr=False, default=0.0)
     sin_gf: float = field(init=False, repr=False, default=0.0)
     cos_gf: float = field(init=False, repr=False, default=0.0)
@@ -67,29 +71,6 @@ class VehicleParams:
     N_front_static: float = field(init=False, repr=False, default=0.0)
     N_rear_static: float = field(init=False, repr=False, default=0.0)
     weight: float = field(init=False, repr=False, default=0.0)
-    # constants of the plant equations, each the very product or sum the
-    # equation would form inline (same operands, same order), so hoisting
-    # them here changes no bit of the derivative
-    hw: float = field(init=False, repr=False, default=0.0)
-    drag_k: float = field(init=False, repr=False, default=0.0)
-    k_heave: float = field(init=False, repr=False, default=0.0)
-    c_heave: float = field(init=False, repr=False, default=0.0)
-    k_hp: float = field(init=False, repr=False, default=0.0)
-    c_hp: float = field(init=False, repr=False, default=0.0)
-    k_pitch: float = field(init=False, repr=False, default=0.0)
-    c_pitch: float = field(init=False, repr=False, default=0.0)
-    k_roll: float = field(init=False, repr=False, default=0.0)
-    c_roll: float = field(init=False, repr=False, default=0.0)
-    a_ksf: float = field(init=False, repr=False, default=0.0)
-    a_csf: float = field(init=False, repr=False, default=0.0)
-    b_ksr: float = field(init=False, repr=False, default=0.0)
-    b_csr: float = field(init=False, repr=False, default=0.0)
-    hw_ksf: float = field(init=False, repr=False, default=0.0)
-    hw_csf: float = field(init=False, repr=False, default=0.0)
-    hw_ksr: float = field(init=False, repr=False, default=0.0)
-    hw_csr: float = field(init=False, repr=False, default=0.0)
-    k_tf: float = field(init=False, repr=False, default=0.0)
-    k_tr: float = field(init=False, repr=False, default=0.0)
     # the plant equations bound to these values, which plant.bind makes on
     # first use; they live and die with the parameter set
     _plant: object = field(init=False, repr=False, compare=False,
@@ -116,26 +97,3 @@ class VehicleParams:
         set_(self, "N_front_static", self.m * G * self.b / (2.0 * self.L))
         set_(self, "N_rear_static", self.m * G * self.a / (2.0 * self.L))
         set_(self, "weight", self.m * G)
-        a, b, ksf, csf, ksr, csr = (self.a, self.b, self.k_sf, self.c_sf,
-                                    self.k_sr, self.c_sr)
-        hw = 0.5 * self.w                                   # half track
-        set_(self, "hw", hw)
-        set_(self, "drag_k", 0.5 * self.C_d * self.rho * self.A_f)
-        set_(self, "k_heave", 2.0 * ksf + 2.0 * ksr)
-        set_(self, "c_heave", 2.0 * csf + 2.0 * csr)
-        set_(self, "k_hp", 2.0 * a * ksf - 2.0 * b * ksr)   # heave-pitch
-        set_(self, "c_hp", 2.0 * a * csf - 2.0 * b * csr)
-        set_(self, "k_pitch", 2.0 * a * a * ksf + 2.0 * b * b * ksr)
-        set_(self, "c_pitch", 2.0 * a * a * csf + 2.0 * b * b * csr)
-        set_(self, "k_roll", hw * hw * self.k_heave)
-        set_(self, "c_roll", hw * hw * self.c_heave)
-        set_(self, "a_ksf", a * ksf)
-        set_(self, "a_csf", a * csf)
-        set_(self, "b_ksr", b * ksr)
-        set_(self, "b_csr", b * csr)
-        set_(self, "hw_ksf", hw * ksf)
-        set_(self, "hw_csf", hw * csf)
-        set_(self, "hw_ksr", hw * ksr)
-        set_(self, "hw_csr", hw * csr)
-        set_(self, "k_tf", ksf + self.k_uf)   # suspension + tire spring
-        set_(self, "k_tr", ksr + self.k_ur)

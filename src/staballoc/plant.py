@@ -114,21 +114,28 @@ class Plant(NamedTuple):
 
 def _make_plant(p: VehicleParams) -> Plant:
     # every constant the equations read, read once from p
-    a, b, hw, m, mu = p.a, p.b, p.hw, p.m, p.mu
+    a, b, m, mu = p.a, p.b, p.m, p.mu
     cos_gf, sin_gf, cos_gr, sin_gr = p.cos_gf, p.sin_gf, p.cos_gr, p.sin_gr
     B1, C1, E1, B2, C2, E2 = p.B1, p.C1, p.E1, p.B2, p.C2, p.E2
     R_w, I_w, I_x, I_y, I_z, h = p.R_w, p.I_w, p.I_x, p.I_y, p.I_z, p.h
-    p0, p1, p2, drag_k = p.p0, p.p1, p.p2, p.drag_k
+    p0, p1, p2 = p.p0, p.p1, p.p2
     ksf, csf, ksr, csr = p.k_sf, p.c_sf, p.k_sr, p.c_sr
-    k_heave, c_heave, k_hp, c_hp = p.k_heave, p.c_heave, p.k_hp, p.c_hp
-    k_pitch, c_pitch = p.k_pitch, p.c_pitch
-    k_roll, c_roll = p.k_roll, p.c_roll
-    a_ksf, a_csf, b_ksr, b_csr = p.a_ksf, p.a_csf, p.b_ksr, p.b_csr
-    hw_ksf, hw_csf, hw_ksr, hw_csr = p.hw_ksf, p.hw_csf, p.hw_ksr, p.hw_csr
-    k_tf, k_tr, k_uf, k_ur = p.k_tf, p.k_tr, p.k_uf, p.k_ur
-    m_uf, m_ur = p.m_uf, p.m_ur
+    k_uf, k_ur, m_uf, m_ur = p.k_uf, p.k_ur, p.m_uf, p.m_ur
     n_front, n_rear = p.N_front_static, p.N_rear_static
     eps, meps = V_EPS, -V_EPS
+    # the products and sums of the equations, formed once here with the
+    # operands in the order the logs are pinned to bit for bit
+    hw = 0.5 * p.w                                      # half track
+    drag_k = 0.5 * p.C_d * p.rho * p.A_f
+    k_heave, c_heave = 2.0 * ksf + 2.0 * ksr, 2.0 * csf + 2.0 * csr
+    k_hp = 2.0 * a * ksf - 2.0 * b * ksr                # heave-pitch
+    c_hp = 2.0 * a * csf - 2.0 * b * csr
+    k_pitch = 2.0 * a * a * ksf + 2.0 * b * b * ksr
+    c_pitch = 2.0 * a * a * csf + 2.0 * b * b * csr
+    k_roll, c_roll = hw * hw * k_heave, hw * hw * c_heave
+    a_ksf, a_csf, b_ksr, b_csr = a * ksf, a * csf, b * ksr, b * csr
+    hw_ksf, hw_csf, hw_ksr, hw_csr = hw * ksf, hw * csf, hw * ksr, hw * csr
+    k_tf, k_tr = ksf + k_uf, ksr + k_ur                 # suspension + tire
 
     def step_inputs(u: Inputs) -> tuple:
         """The input-only terms at the inputs u: the torques and road

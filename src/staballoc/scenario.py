@@ -140,7 +140,9 @@ class Events(tuple):
 @dataclass(frozen=True)
 class Scenario:
     """One run: vehicle start, driver, events and controller settings.
-    ConfigError unless the controller is known, v0 >= 0 with its start
+    ConfigError unless the name is non-empty and holds no '/', '\\' or
+    NUL (it is the stem of every output file, which must stay in the
+    output directory), the controller is known, v0 >= 0 with its start
     wheel speed v0 / R_w (stock R_w) within BLOW_UP_LIMIT, so a start
     state is never past the plant's divergence bound, and dt divides the
     horizon (check_step)."""
@@ -155,6 +157,9 @@ class Scenario:
     allocator: AllocatorConfig = field(default_factory=AllocatorConfig)
 
     def __post_init__(self):
+        if not self.name or any(c in self.name for c in "/\\\0"):
+            raise ConfigError(f"scenario name {self.name!r} must be "
+                              f"non-empty and free of '/', '\\' and NUL")
         if self.controller not in CONTROLLERS:
             raise ConfigError(f"unknown controller {self.controller!r}")
         if not (0.0 <= self.v0 and self.v0 / R_W <= BLOW_UP_LIMIT):

@@ -5,6 +5,7 @@ to see the per-criterion lines.
 """
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from staballoc.allocator import AdaptiveAllocator, solve_lyapunov
 from staballoc.cli import FIGURE_PAIRS
 from staballoc.controllers import C_ALPHA_DEFAULT, AllocatorConfig, Gains, \
     build_bn
-from staballoc.harness import run_scenario, sweep_max_speed
+from staballoc.harness import BETA_LIMIT, run_scenario, sweep_max_speed
 from staballoc.linmodel import build_bl, linearize, reduced_derivative
 from staballoc.logio import emit_csv
 from staballoc.metrics import compute_metrics
@@ -165,6 +166,30 @@ def test_criterion_6_speed_margin(scenario_dir):
     # the exact bisection answers on the 0.25 m/s grid, so a change that
     # flips one run's verdict fails here even when the ratio holds
     assert (v_base, v_prop) == (18.75, 26.0)
+
+
+def test_criterion_6_baseline_fails_one_grid_step_above(scenario_dir):
+    # the bisection assumes a single stability threshold in its range; the
+    # baseline's answer sits on one only if the grid step above it fails
+    # too (the proposed answer, 26.0, is the top of the range)
+    scn = load_scenario(scenario_dir / "actuator_fault.scn")
+    log = run_scenario(replace(scn, v0=18.75 + 0.25), controller="baseline",
+                       beta_limit=BETA_LIMIT)
+    assert compute_metrics(log).max_beta >= BETA_LIMIT
+    assert log.stop_reason.startswith("|beta| reached the limit")
+
+
+def test_baseline_spin_in_the_fault_run_depends_on_dt(runs, scenario_dir):
+    # a known result, not a target to flip by tuning: the baseline's
+    # actuator-fault run spins at dt = 1 ms (the shared run) but not at
+    # 2 ms, so "the baseline spins" holds only at the finer steps
+    _, m_1ms = runs[("actuator_fault", "baseline")]
+    assert m_1ms.spin and math.degrees(m_1ms.max_beta) > 80.0
+    scn = load_scenario(scenario_dir / "actuator_fault.scn")
+    m_2ms = compute_metrics(run_scenario(scn, controller="baseline",
+                                         dt=2e-3))
+    assert not m_2ms.spin and not m_2ms.diverged
+    assert math.degrees(m_2ms.max_beta) < 10.0
 
 
 def test_fault_run_max_beta_converges_in_dt(runs, scenario_dir):

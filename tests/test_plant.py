@@ -43,6 +43,14 @@ class TestParams:
         with pytest.raises(ValueError):
             VehicleParams(c_sf=-1.0)
 
+    def test_fields_hold_the_vehicle_not_the_plant_constants(self):
+        # 31 settable entries, 8 geometry and statics and the bound plant;
+        # the constants of the plant equations are formed by bind
+        fields = dataclasses.fields(VehicleParams)
+        assert (len(fields), sum(f.init for f in fields)) == (40, 31)
+        assert not {f.name for f in fields} & {"hw", "drag_k", "k_heave",
+                                               "k_roll", "a_ksf", "k_tf"}
+
     def test_plant_bound_once_per_parameter_set(self):
         # bind keeps the equations on the frozen params; neither equality
         # nor a replaced copy sees them

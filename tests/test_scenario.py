@@ -9,7 +9,8 @@ from staballoc.controllers import AllocatorConfig, Gains
 from staballoc.params import VehicleParams
 from staballoc.plant import BLOW_UP_LIMIT
 from staballoc.scenario import (EVENT_TARGETS, ConfigError, Event,
-                                check_step, load_scenario, parse_scenario)
+                                Scenario, check_step, load_scenario,
+                                parse_scenario)
 
 GOOD = """
 # a comment
@@ -200,6 +201,47 @@ class TestScenarioRules:
         assert above / r_w > BLOW_UP_LIMIT
         with pytest.raises(ConfigError, match="v0/R_w"):
             dataclasses.replace(scn, v0=above)
+
+
+class TestScenarioName:
+    """The name is the stem of every output file, f"{name}_{controller}",
+    so it must name a file inside the output directory."""
+    TAIL = "v0 = 10\nhorizon = 0.5\ndt = 0.001\n"
+    BASE = "[scenario]\n" + TAIL
+    BAD = ["../escaped", "a/b", "", "a\\b", "nul\0name", "/abs"]
+
+    @pytest.mark.parametrize("name", BAD)
+    def test_parsed_name_rejected(self, name):
+        with pytest.raises(ConfigError, match="scenario name"):
+            parse_scenario(f"[scenario]\nname = {name}\n" + self.TAIL)
+
+    @pytest.mark.parametrize("name", BAD)
+    def test_name_in_code_rejected(self, name):
+        scn = parse_scenario(self.BASE)
+        with pytest.raises(ConfigError, match="scenario name"):
+            Scenario(name=name, v0=scn.v0, horizon=scn.horizon, dt=scn.dt,
+                     driver=scn.driver)
+
+    @pytest.mark.parametrize("name", BAD)
+    def test_replaced_name_rejected(self, name):
+        with pytest.raises(ConfigError, match="scenario name"):
+            dataclasses.replace(parse_scenario(self.BASE), name=name)
+
+    @pytest.mark.parametrize("name", ["demo", "..", "a.b c", "unnamed"])
+    def test_plain_names_accepted(self, name):
+        assert dataclasses.replace(parse_scenario(self.BASE),
+                                   name=name).name == name
+
+    @pytest.mark.parametrize("name", ["../escaped", "a/b", ""])
+    def test_cli_writes_nothing_outside_out(self, tmp_path, capsys, name):
+        work = tmp_path / "work"
+        work.mkdir()
+        scn_file = work / "bad.scn"
+        scn_file.write_text(f"[scenario]\nname = {name}\n" + self.TAIL)
+        assert cli_main(["run", str(scn_file), "--controller", "baseline",
+                         "--out", str(work / "out")]) == 3
+        assert "configuration error" in capsys.readouterr().err
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == [scn_file]
 
 
 class TestProfileErrors:
