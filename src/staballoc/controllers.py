@@ -81,9 +81,9 @@ class Gains:
     """Controller gains; defaults are the shipped tuned set.
 
     The stock vehicle has load-proportional cornering stiffness, so the
-    understeer gradient defaults to neutral (0).  Feedback gains take either
-    sign; the anti-windup bounds `i_max_*` and the demand limits `v_max_*`
-    must be non-negative and finite (ConfigError).
+    understeer gradient defaults to neutral (0).  Every gain must be finite;
+    feedback gains take either sign, while the anti-windup bounds `i_max_*`
+    and the demand limits `v_max_*` must also be non-negative (ConfigError).
     """
     # traction force PI (virtual control entry 1)
     kp_f: float = 2.0
@@ -134,11 +134,12 @@ class Gains:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            if f.name.startswith(("i_max_", "v_max_")):
-                value = getattr(self, f.name)
-                if not 0.0 <= value < math.inf:
-                    raise ConfigError(f"gain {f.name} must be non-negative "
-                                      f"and finite, not {value!r}")
+            value = getattr(self, f.name)
+            limit = f.name.startswith(("i_max_", "v_max_"))
+            if not math.isfinite(value) or (limit and value < 0.0):
+                rule = "non-negative and finite" if limit else "finite"
+                raise ConfigError(f"gain {f.name} must be {rule}, not "
+                                  f"{value!r}")
 
 
 @dataclass(frozen=True)

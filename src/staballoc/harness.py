@@ -1,11 +1,11 @@
 """Closed-loop scenario driver and fault injection.
 
-Per step: measurements are formed from the current state and the inputs
-applied over the previous step (the IMU sees what actually happened), the
-selected controller produces an actuator command, clamped once to the
-actuator envelope (clip_u), effectiveness faults scale it element-wise,
-and the plant advances one fixed step with the effective inputs held
-constant.
+Per step (scn.n_steps of them): measurements are formed from the current
+state and the input-only terms of the previous step (the IMU sees what
+actually happened), the selected controller produces an actuator command,
+clamped once to the actuator envelope (clip_u), effectiveness faults scale
+it element-wise, and the plant advances one fixed step with the effective
+inputs held constant.
 
 Controllers:
   proposed  - virtual control + adaptive allocation over all 12 actuators
@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import (TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple,
-                    Union)
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .controllers import (ControllerState, Gains, attitude_moments,
                           baseline_rear_steer, baseline_suspension,
@@ -32,7 +31,7 @@ from .metrics import compute_metrics
 from .params import VehicleParams
 from .plant import (ZERO4, Inputs, PlantDiverged, _reg, bind, clip_u,
                     normal_forces, state_derivative, step_rk4)
-from .scenario import ConfigError, Events, Scenario, check_events, check_step
+from .scenario import ConfigError, Events, Scenario, check_events
 
 if TYPE_CHECKING:
     from .allocator import AdaptiveAllocator
@@ -62,16 +61,11 @@ def road_elevation(events: Events, t: float,
     return events.at("elevation", t)
 
 
-def measure(x: List[float], prev_inputs: Union[Inputs, tuple],
-            p: VehicleParams) -> Dict:
+def measure(x: List[float], prev_inputs: tuple, p: VehicleParams) -> Dict:
     """Sensor picture at the state list x: body rates and angles, inertial
     accelerations realized under the previously applied inputs, side slip,
-    and the four tire normal loads as one tuple N.
-
-    prev_inputs is the Inputs, or the terms bind(p).step_inputs formed of
-    them; the loop hands over the terms its last step_rk4 used."""
-    if type(prev_inputs) is Inputs:
-        prev_inputs = bind(p).step_inputs(prev_inputs)
+    and the four tire normal loads as one tuple N; prev_inputs is the
+    terms bind(p).step_inputs formed of those inputs for the last step."""
     deriv = state_derivative(x, prev_inputs, p)
     v_x, v_y, r = x[0], x[1], x[2]
     a_x = deriv[0] - r * v_y
@@ -155,12 +149,12 @@ def run_scenario(scn: Scenario, controller: Optional[str] = None,
     """
     if not beta_limit > 0.0:
         raise ConfigError(f"beta_limit {beta_limit!r} is not positive")
-    run = replace(scn, controller=controller or scn.controller,
-                  dt=scn.dt if dt is None else dt)
+    run = replace(scn, dt=scn.dt if dt is None else dt,
+                  controller=scn.controller if controller is None
+                  else controller)
     if run.dt != scn.dt:
         check_events(run)
     scn, dt, mode = run, run.dt, run.controller
-    n_steps = check_step(dt, scn.horizon)
     p = VehicleParams()
 
     allocator = None
@@ -182,7 +176,7 @@ def run_scenario(scn: Scenario, controller: Optional[str] = None,
                                      z_road=road_elevation(events, 0.0)))
     log = RunLog(scenario=scn.name, controller=mode, dt=dt)
 
-    for k in range(n_steps):
+    for k in range(scn.n_steps):
         t = k * dt
         meas = measure(x, prev_inputs, p)
         delta_in = driver.steer_at(t)

@@ -7,13 +7,14 @@ scale are configurable; the remaining entries are the stock vehicle data.
 the metrics share: the wheelbase, the hub-angle sines and cosines, the
 static wheel loads and the weight.  The constants of the plant equations
 are not kept here; ``plant.bind`` forms them once per parameter set.
-All quantities are SI.  :class:`ConfigError` lives here, the lowest layer,
-so every module that checks user configuration can raise it.
+All quantities are SI, and every settable one is finite (ConfigError).
+:class:`ConfigError` lives here, the lowest layer, so every module that
+checks user configuration can raise it.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 G = 9.81  # gravitational acceleration [m/s^2]
 
@@ -77,13 +78,17 @@ class VehicleParams:
                            default=None)
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.init and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, not {value!r}")
         for name in ("h", "a", "b", "w", "m", "I_x", "I_y", "I_z", "I_w",
                      "R_w", "m_uf", "m_ur", "k_uf", "k_ur", "k_sf", "k_sr",
                      "A_f", "rho", "mu"):
             if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be strictly positive")
+                raise ConfigError(f"{name} must be strictly positive")
         if self.c_sf < 0.0 or self.c_sr < 0.0:
-            raise ValueError("damping coefficients must be non-negative")
+            raise ConfigError("damping coefficients must be non-negative")
         set_ = object.__setattr__
         set_(self, "L", self.a + self.b)
         # hub angles: half-track over axle distance, from the geometry

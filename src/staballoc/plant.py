@@ -9,7 +9,9 @@ elevation steps under the tires.
 
 Frame: x forward, y left, z up.  Pitch is positive nose-down, roll is
 positive left-side-up; yaw is positive counter-clockwise seen from above.
-Inertial pose (X, Y, psi) is carried along for trajectory logging.
+Inertial pose (X, Y, psi) is carried along for trajectory logging.  A step
+takes an Inputs tuple or the input-only terms bind(p).step_inputs formed
+of it (step_rk4); state_derivative takes the terms only.
 """
 from __future__ import annotations
 
@@ -320,13 +322,12 @@ def bind(p: VehicleParams) -> Plant:
     return plant
 
 
-def state_derivative(x: Sequence[float], u: Union[Inputs, tuple],
+def state_derivative(x: Sequence[float], si: tuple,
                      p: VehicleParams) -> List[float]:
     """Full state derivative; pure and deterministic in its arguments.
 
-    u is the Inputs, or the terms bind(p).step_inputs formed of them:
-    step_rk4 forms those once and passes them to its four stages, so each
-    evaluation of a step is still one call of this function.
+    si is the terms bind(p).step_inputs formed of the step's Inputs, which
+    step_rk4 forms once for its four stages.
 
     Wheel i: slip ratio lam = (w*Rw - Vx) / (w*Rw if w*Rw >= Vx else Vx),
     the denominator floored at V_EPS and lam clamped to [-1, 1]; the tire
@@ -334,9 +335,7 @@ def state_derivative(x: Sequence[float], u: Union[Inputs, tuple],
     the spin balance is I_w*w' = T - sgn(w)*N*rr(Vx) - f_x*R_w with the
     rolling-resistance coefficient rr = p0 + p1*Vx/30 + p2*(Vx/30)^4.
     """
-    plant = bind(p)
-    return plant.derivative(x, plant.step_inputs(u) if type(u) is Inputs
-                            else u)
+    return bind(p).derivative(x, si)
 
 
 def _diverged(x: Sequence[float]) -> Optional[PlantDiverged]:
@@ -353,9 +352,9 @@ def step_rk4(x: List[float], u: Union[Inputs, tuple], p: VehicleParams,
     """Advance the state list one fixed step with the inputs held constant
     (zero-order hold).
 
-    u is the Inputs, or the terms bind(p).step_inputs formed of them, as
-    for state_derivative: the closed loop forms them once per step and
-    hands them to its next measurement too.
+    u is the Inputs, or the terms bind(p).step_inputs formed of them: the
+    closed loop forms them once per step and hands them to its next
+    measurement too.  It is the one entry of the plant that takes either.
 
     Raises PlantDiverged, never silently clamps, when any entry of the
     result is non-finite or exceeds the blow-up bound, and also when a

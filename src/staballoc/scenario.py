@@ -27,8 +27,9 @@ breakpoint lists ``t:value`` separated by whitespace.
 :class:`Gains` and :class:`AllocatorConfig`; the rest keep their defaults.
 Every value rule lives in the object it constrains (:class:`Event`,
 :class:`Events`, :class:`Scenario`, the settings and profiles), so it holds
-however a Scenario is built.  The parser adds only the rules of the text:
-no unknown or repeated section or key, every number finite, and every event fires (no
+however a Scenario is built; a Scenario also counts its own steps
+(``n_steps``).  The parser adds only the rules of the text: no unknown or
+repeated section or key, every number finite, and every event fires (no
 later than the start of the last step).  All raise ConfigError.
 """
 from __future__ import annotations
@@ -144,8 +145,9 @@ class Scenario:
     NUL (it is the stem of every output file, which must stay in the
     output directory), the controller is known, v0 >= 0 with its start
     wheel speed v0 / R_w (stock R_w) within BLOW_UP_LIMIT, so a start
-    state is never past the plant's divergence bound, and dt divides the
-    horizon (check_step)."""
+    state is never past the plant's divergence bound, and dt and the
+    horizon are positive and finite, dt dividing the horizon into a whole
+    number n_steps >= 1 of steps, which the Scenario keeps."""
     name: str
     v0: float
     horizon: float
@@ -155,6 +157,7 @@ class Scenario:
     events: Tuple[Event, ...] = ()
     gains: Gains = field(default_factory=Gains)
     allocator: AllocatorConfig = field(default_factory=AllocatorConfig)
+    n_steps: int = field(init=False, compare=False)
 
     def __post_init__(self):
         if not self.name or any(c in self.name for c in "/\\\0"):
@@ -167,31 +170,24 @@ class Scenario:
                               f"[0, {BLOW_UP_LIMIT * R_W:g}] m/s, so that "
                               f"the wheel speed v0/R_w stays within "
                               f"{BLOW_UP_LIMIT:g}")
-        check_step(self.dt, self.horizon)
+        dt, horizon = self.dt, self.horizon
+        if not (0.0 < dt < math.inf and 0.0 < horizon < math.inf):
+            raise ConfigError(f"dt and horizon must be positive "
+                              f"(dt={dt!r}, horizon={horizon!r})")
+        steps = horizon / dt
+        n = round(steps)
+        if n < 1 or abs(steps - n) > 1.0e-6:
+            raise ConfigError(f"dt={dt!r} must divide the horizon "
+                              f"{horizon!r}")
+        object.__setattr__(self, "n_steps", n)
         object.__setattr__(self, "events", Events(self.events))
-
-
-def check_step(dt: float, horizon: float) -> int:
-    """Number of steps of size dt in the horizon.
-
-    Raises ConfigError unless both are positive and finite and dt divides
-    the horizon into a whole number (at least one) of steps.
-    """
-    if not (0.0 < dt < math.inf and 0.0 < horizon < math.inf):
-        raise ConfigError(f"dt and horizon must be positive "
-                          f"(dt={dt!r}, horizon={horizon!r})")
-    steps = horizon / dt
-    n = round(steps)
-    if n < 1 or abs(steps - n) > 1.0e-6:
-        raise ConfigError(f"dt={dt!r} must divide the horizon {horizon!r}")
-    return n
 
 
 def check_events(scn: Scenario) -> None:
     """Raises ConfigError if an event of scn would never fire: it fires at
     the first step time k * dt >= its time, and the last step is
-    k = n_steps - 1."""
-    last = (check_step(scn.dt, scn.horizon) - 1) * scn.dt
+    k = scn.n_steps - 1."""
+    last = (scn.n_steps - 1) * scn.dt
     latest = max((ev.time for ev in scn.events), default=0.0)
     if latest > last:
         raise ConfigError(f"event at t={latest!r} would never fire: "

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -389,6 +390,20 @@ class TestGainOverrides:
     def test_negative_or_non_finite_limit_rejected(self, name, value):
         with pytest.raises(ConfigError, match=name):
             Gains(**{name: value})
+
+    FEEDBACK = tuple(f.name for f in dataclasses.fields(Gains)
+                     if not f.name.startswith(("i_max_", "v_max_")))
+
+    @pytest.mark.parametrize("name", FEEDBACK)
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_feedback_gain_rejected(self, name, value):
+        # Gains checks its own values, not only the parser
+        with pytest.raises(ConfigError, match=name):
+            Gains(**{name: value})
+
+    @pytest.mark.parametrize("name", FEEDBACK)
+    def test_negative_feedback_gain_accepted(self, name):
+        assert getattr(Gains(**{name: -1.0}), name) == -1.0
 
     @pytest.mark.parametrize("name", LIMITS)
     def test_zero_limit_accepted(self, name):

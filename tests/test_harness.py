@@ -114,15 +114,21 @@ class TestFaultInjection:
             pytest.approx((0.03, 0.0, 0.0, 0.0))
 
 
+def sense(x, u, p):
+    """measure after a step at the Inputs u, through the terms
+    bind(p).step_inputs forms of them, as the loop hands them over."""
+    return measure(x, bind(p).step_inputs(u), p)
+
+
 class TestMeasurements:
     def test_side_slip_definition(self, params):
         s = PlantState.cruising(20.0, params)
         s.Vy = 1.0
-        meas = measure(s.as_list(), Inputs(), params)
+        meas = sense(s.as_list(), Inputs(), params)
         assert meas["beta"] == pytest.approx(math.atan(1.0 / 20.0))
 
     def test_normals_at_rest(self, params):
-        meas = measure(PlantState().as_list(), Inputs(), params)
+        meas = sense(PlantState().as_list(), Inputs(), params)
         assert meas["N"][0] == pytest.approx(params.N_front_static)
 
     def test_traction_step_on_level_road_recovers_torque_force(self):
@@ -137,7 +143,7 @@ class TestMeasurements:
         x = PlantState.cruising(15.0, p).as_list()
         for _ in range(1000):
             x = step_rk4(x, u, p, 1e-3)
-        meas = measure(x, u, p)
+        meas = sense(x, u, p)
         net = measured_net(meas["ax"], meas["ay"], meas["yaw_acc"],
                            meas["roll_acc"], meas["pitch_acc"],
                            meas["Vx"], p)
@@ -150,8 +156,8 @@ class TestDriverSteer:
         # the proposed command is the allocator's output with the driver's
         # steer added on the two front steering channels only
         b_l = build_bl(params, C_ALPHA_DEFAULT)
-        meas = measure(PlantState.cruising(20.0, params).as_list(), Inputs(),
-                       params)
+        meas = sense(PlantState.cruising(20.0, params).as_list(), Inputs(),
+                     params)
         loop = _Loop(mode="proposed", gains=Gains(), cs=ControllerState(),
                      allocator=AdaptiveAllocator(b_l, AllocatorConfig()))
         u, v, _, _ = loop.command(0.02, 0.0, meas, 1e-3, params)
@@ -309,6 +315,27 @@ class TestRunScenario:
     def test_unknown_controller_rejected(self):
         with pytest.raises(ConfigError, match="magic"):
             run_scenario(parse_scenario(SHORT), controller="magic")
+
+    def test_empty_controller_rejected_before_any_step(self, monkeypatch):
+        # an empty name is a controller name like any other, not "the
+        # scenario's own"
+        steps = []
+        monkeypatch.setattr(harness, "step_rk4",
+                            lambda *args: steps.append(args))
+        with pytest.raises(ConfigError, match="controller ''"):
+            run_scenario(parse_scenario(SHORT), controller="")
+        assert steps == []
+
+    @pytest.mark.parametrize("name", ["k_understeer", "kp_f"])
+    def test_non_finite_replaced_gain_rejected_before_any_step(
+            self, monkeypatch, name):
+        steps = []
+        monkeypatch.setattr(harness, "step_rk4",
+                            lambda *args: steps.append(args))
+        scn = parse_scenario(SHORT)
+        with pytest.raises(ConfigError, match=name):
+            run_scenario(replace(scn, gains=Gains(**{name: math.nan})))
+        assert steps == []
 
     def test_unknown_allocator_override_rejected(self):
         text = SHORT + "\n[allocator]\nbogus = 1\n"

@@ -9,7 +9,7 @@ from staballoc.controllers import C_ALPHA_DEFAULT, bn_is_invertible, \
     build_bn
 from staballoc.linmodel import build_bl, build_bv, linearize, \
     reduced_derivative
-from staballoc.plant import Inputs, state_derivative
+from staballoc.plant import Inputs, bind, state_derivative
 
 STATIC_STEER = (0.0, 0.0, 0.0, 0.0)
 
@@ -40,8 +40,9 @@ class TestOneModel:
             u[0:4] = rng.uniform(-0.4, 0.4, 4)
             u[8:12] = rng.uniform(-4000.0, 4000.0, 4)
             x = s.as_list()
-            full = state_derivative(x, Inputs(u[0:4], u[4:8], u[8:12]),
-                                    params)
+            terms = bind(params).step_inputs(
+                Inputs(u[0:4], u[4:8], u[8:12]))
+            full = state_derivative(x, terms, params)
             red = reduced_derivative(x[:17], u, params)
             np.testing.assert_allclose(full[:17], red, rtol=1e-9, atol=0.0)
 

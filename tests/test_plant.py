@@ -13,12 +13,18 @@ from reference_plant import (body_accelerations, longitudinal_slip,
                              vertical_derivatives, wheel_spin_derivative,
                              yaw_acceleration)
 from staballoc.linmodel import reduced_derivative
-from staballoc.params import G, VehicleParams
+from staballoc.params import G, ConfigError, VehicleParams
 from staballoc.plant import (STATE_NAMES, V_EPS, Inputs, PlantDiverged,
                              bind, clip_u, normal_forces, state_derivative,
                              step_rk4)
 
 ZERO4 = (0.0, 0.0, 0.0, 0.0)
+
+
+def derivative(x, u, p):
+    """state_derivative at the Inputs u, through the terms that
+    bind(p).step_inputs forms of them, as step_rk4 hands them over."""
+    return state_derivative(x, bind(p).step_inputs(u), p)
 
 
 class TestParams:
@@ -36,8 +42,16 @@ class TestParams:
 
     @pytest.mark.parametrize("field", ["m", "I_x", "R_w", "k_sf", "mu"])
     def test_positivity_enforced(self, field):
-        with pytest.raises(ValueError):
-            VehicleParams(**{field: 0.0})
+        for value in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                VehicleParams(**{field: value})
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(
+        VehicleParams) if f.init])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_every_field_must_be_finite(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            VehicleParams(**{field: value})
 
     def test_negative_damping_rejected(self):
         with pytest.raises(ValueError):
@@ -104,9 +118,8 @@ class TestEnvelope:
     def test_inputs_are_not_clamped_again(self, params):
         # a torque beyond the envelope reaches the wheel as given
         x = PlantState().as_list()
-        d = state_derivative(x, Inputs(torque=(3000.0, 0.0, 0.0, 0.0)),
-                             params)
-        assert d[17] == pytest.approx(2.0 * state_derivative(
+        d = derivative(x, Inputs(torque=(3000.0, 0.0, 0.0, 0.0)), params)
+        assert d[17] == pytest.approx(2.0 * derivative(
             x, Inputs(torque=(1500.0, 0.0, 0.0, 0.0)), params)[17])
 
 
@@ -120,12 +133,12 @@ class TestStateVector:
 
 class TestPointwiseDynamics:
     def test_rest_equilibrium_has_zero_derivative(self, params):
-        d = state_derivative(PlantState().as_list(), Inputs(), params)
+        d = derivative(PlantState().as_list(), Inputs(), params)
         assert max(abs(v) for v in d) == 0.0
 
     def test_pure_drag_deceleration(self, params):
         s = PlantState.cruising(20.0, params)
-        d = state_derivative(s.as_list(), Inputs(), params)
+        d = derivative(s.as_list(), Inputs(), params)
         drag = 0.5 * 0.3 * 1.225 * 2.2 * 400.0
         assert drag == pytest.approx(161.7, abs=0.01)
         assert d[0] == pytest.approx(-drag / 1300.0)
@@ -342,8 +355,8 @@ class TestTrajectoryInvariants:
         s.phi = 0.01
         u = Inputs(steer=(0.03, 0.03, -0.01, -0.01),
                    torque=(120.0, 80.0, 60.0, 40.0))
-        d1 = state_derivative(s.as_list(), u, params)
-        d2 = state_derivative(s.as_list(), u, params)
+        d1 = derivative(s.as_list(), u, params)
+        d2 = derivative(s.as_list(), u, params)
         assert d1 == d2
 
 
@@ -414,7 +427,7 @@ class TestKernel:
     @settings(max_examples=200, deadline=None)
     def test_state_derivative_matches_reference(self, case):
         p, x, u = case
-        assert hexes(state_derivative(x, u, p)) == \
+        assert hexes(derivative(x, u, p)) == \
             hexes(ref.state_derivative(x, u, p))
 
     @given(case=kernel_cases())
@@ -452,7 +465,7 @@ class TestKernel:
                         f_z=draw(5000.0), z_road=draw(0.03),
                         lat_scale=tuple(rng.uniform(0.05, 1.0)
                                         for _ in range(4)))
-            assert hexes(state_derivative(x, u, p)) == \
+            assert hexes(derivative(x, u, p)) == \
                 hexes(ref.state_derivative(x, u, p)), k
             expected = ref.chassis_derivative(
                 x[:17], [t / p.R_w for t in u.torque], u.steer, u.f_z,

@@ -9,8 +9,7 @@ from staballoc.controllers import AllocatorConfig, Gains
 from staballoc.params import VehicleParams
 from staballoc.plant import BLOW_UP_LIMIT
 from staballoc.scenario import (EVENT_TARGETS, ConfigError, Event,
-                                Scenario, check_step, load_scenario,
-                                parse_scenario)
+                                Scenario, load_scenario, parse_scenario)
 
 GOOD = """
 # a comment
@@ -44,7 +43,7 @@ class TestParsing:
         assert scn.name == "demo"
         assert scn.v0 == 15.0
         assert scn.controller == "baseline"
-        assert check_step(scn.dt, scn.horizon) == 2000
+        assert scn.n_steps == 2000
         assert scn.driver.steer(0.5) == pytest.approx(0.025)
         assert scn.driver.force_ref(0.0) == 200.0
         assert scn.events == (
@@ -188,6 +187,14 @@ class TestScenarioRules:
         scn = parse_scenario(self.BASE)
         with pytest.raises(ConfigError):
             dataclasses.replace(scn, **change)
+
+    def test_step_count_follows_a_replacement(self):
+        scn = parse_scenario(self.BASE)
+        assert scn.n_steps == 500
+        assert dataclasses.replace(scn, horizon=2.0, dt=0.002).n_steps == 1000
+        assert dataclasses.replace(scn, dt=0.0005).n_steps == 1000
+        with pytest.raises(ValueError, match="n_steps"):
+            dataclasses.replace(scn, n_steps=7)
 
     def test_speed_up_to_the_start_wheel_speed_bound_accepted(self):
         # the start state spins each wheel at v0 / R_w, which may reach
