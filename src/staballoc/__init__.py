@@ -14,7 +14,7 @@ from .harness import run_scenario, sweep_max_speed
 from .logio import RunLog, emit_csv, emit_svg_plots, parse_csv
 from .metrics import Metrics, compute_metrics
 from .params import G, VehicleParams
-from .plant import Inputs, PlantDiverged, step_rk4
+from .plant import PlantDiverged, step_rk4
 from .scenario import ConfigError, Event, Scenario, load_scenario, \
     parse_scenario
 
@@ -55,7 +55,6 @@ __all__ = [
     "Event",
     "G",
     "Gains",
-    "Inputs",
     "Metrics",
     "PiecewiseLinear",
     "PlantDiverged",

@@ -10,8 +10,9 @@ Subcommands::
     staballoc stability --v0 <m/s>
 
 Exit codes: 0 completed, 2 the plant diverged, 3 configuration error
-(ConfigError: a bad scenario file, setting or argument).  Any other error
-during a run propagates with its traceback.
+(ConfigError: a bad scenario file, setting or argument, or an output
+directory that cannot be made; run checks these before it runs).  Any other
+error during a run propagates with its traceback.
 
 Only the commands that use arrays import NumPy: run, figures and sweep
 with an allocator controller (proposed, hybrid), and stability.
@@ -24,7 +25,7 @@ import sys
 from pathlib import Path
 
 from .controllers import Gains
-from .harness import run_scenario, sweep_max_speed
+from .harness import override, run_scenario, sweep_max_speed
 from .logio import emit_csv, emit_svg_plots
 from .metrics import compute_metrics
 from .params import VehicleParams
@@ -47,10 +48,15 @@ FIGURE_PAIRS = (
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    scn = load_scenario(args.scenario)
-    log = run_scenario(scn, controller=args.controller, dt=args.dt)
+    # the run's settings and its output directory are checked before it runs
+    scn = override(load_scenario(args.scenario), args.controller, args.dt)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out_dir}: "
+                          f"{exc}") from exc
+    log = run_scenario(scn)
     stem = f"{scn.name}_{log.controller}"
     csv_path = emit_csv(log, out_dir / f"{stem}.csv")
     print(f"wrote {csv_path}")

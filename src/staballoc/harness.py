@@ -29,8 +29,8 @@ from .controllers import (ControllerState, Gains, attitude_moments,
 from .logio import RunLog
 from .metrics import compute_metrics
 from .params import VehicleParams
-from .plant import (ZERO4, Inputs, PlantDiverged, _reg, bind, clip_u,
-                    normal_forces, state_derivative, step_rk4)
+from .plant import (ZERO4, PlantDiverged, _reg, bind, clip_u, normal_forces,
+                    state_derivative, step_rk4)
 from .scenario import ConfigError, Events, Scenario, check_events
 
 if TYPE_CHECKING:
@@ -132,29 +132,37 @@ class _Loop:
         return clip_u(u), v, r_ref, res.residual
 
 
+def override(scn: Scenario, controller: Optional[str],
+             dt: Optional[float]) -> Scenario:
+    """scn with the controller and step that are given (not None) in place
+    of its own, through dataclasses.replace, so the Scenario rules hold for
+    them too.  A dt that replaces the scenario's must also leave no event
+    after the last step.  Raises ConfigError otherwise."""
+    run = replace(scn, dt=scn.dt if dt is None else dt,
+                  controller=scn.controller if controller is None
+                  else controller)
+    if run.dt != scn.dt:
+        check_events(run)
+    return run
+
+
 def run_scenario(scn: Scenario, controller: Optional[str] = None,
                  dt: Optional[float] = None,
                  beta_limit: float = math.inf) -> RunLog:
     """Simulate one scenario on the stock vehicle and return the per-step log.
 
     The scenario carries every setting of the run; controller and dt, when
-    given, replace its controller and step through dataclasses.replace, so
-    the Scenario rules hold for them too.  A dt that replaces the
-    scenario's must also leave no event after the last step.  Any of these,
-    or a beta_limit that is not positive, raises ConfigError before any
-    step.  The run stops early with a partial log when the plant diverges,
-    or after the first step whose logged |beta| reaches beta_limit; up to
-    there the log is the same as that of the full run.  Only the allocator
-    modes import the array code (allocator, linmodel) and with it NumPy.
+    given, replace its own (override).  A bad one, or a beta_limit that is
+    not positive, raises ConfigError before any step.  The run stops early
+    with a partial log when the plant diverges, or after the first step
+    whose logged |beta| reaches beta_limit; up to there the log is the same
+    as that of the full run.  Only the allocator modes import the array
+    code (allocator, linmodel) and with it NumPy.
     """
     if not beta_limit > 0.0:
         raise ConfigError(f"beta_limit {beta_limit!r} is not positive")
-    run = replace(scn, dt=scn.dt if dt is None else dt,
-                  controller=scn.controller if controller is None
-                  else controller)
-    if run.dt != scn.dt:
-        check_events(run)
-    scn, dt, mode = run, run.dt, run.controller
+    scn = override(scn, controller, dt)
+    dt, mode = scn.dt, scn.controller
     p = VehicleParams()
 
     allocator = None
@@ -170,10 +178,10 @@ def run_scenario(scn: Scenario, controller: Optional[str] = None,
     x = [scn.v0] + [0.0] * 16 + [scn.v0 / p.R_w] * 4 + [0.0] * 3
     events, driver = scn.events, scn.driver
     # each step's input-only terms, formed once for its step_rk4 and the
-    # next step's measurement
+    # next step's measurement; before the first step, no actuator acts
     step_inputs = bind(p).step_inputs
-    prev_inputs = step_inputs(Inputs(lat_scale=friction_scale(events, 0.0),
-                                     z_road=road_elevation(events, 0.0)))
+    prev_inputs = step_inputs((0.0,) * 12, road_elevation(events, 0.0),
+                              friction_scale(events, 0.0))
     log = RunLog(scenario=scn.name, controller=mode, dt=dt)
 
     for k in range(scn.n_steps):
@@ -183,9 +191,8 @@ def run_scenario(scn: Scenario, controller: Optional[str] = None,
         f_ref = driver.force_ref(t)
         u_cmd, v, r_ref, resid = loop.command(delta_in, f_ref, meas, dt, p)
         u_eff = apply_faults(u_cmd, events, t)
-        inputs = step_inputs(Inputs(u_eff[0:4], u_eff[4:8], u_eff[8:12],
-                                    road_elevation(events, t),
-                                    friction_scale(events, t)))
+        inputs = step_inputs(u_eff, road_elevation(events, t),
+                             friction_scale(events, t))
         # one row in CSV_COLUMNS order
         log.append([t, x[0], x[1], x[2], meas["beta"], x[3], x[5], x[7],
                     x[21], x[22], x[23], *u_cmd, *meas["N"], *v, resid],

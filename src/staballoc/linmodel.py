@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .params import VehicleParams
-from .plant import ZERO4, Inputs, bind, normal_forces
+from .plant import ZERO4, bind, normal_forces
 
 N_X = 17
 N_U = 12
@@ -36,13 +36,13 @@ def reduced_derivative(x: Sequence[float], u: Sequence[float],
     Wheels are eliminated quasi-statically: the traction force of wheel i is
     T_i/R_w, with rolling resistance deliberately left unmodeled here (the
     closed loop treats it as a disturbance).  Lateral forces use the full
-    tire curve at the slip angles implied by the state; the road is flat
-    with nominal friction, as the Inputs defaults have it.
+    tire curve at the slip angles implied by the state at the 12-entry
+    actuator vector u, on a flat road with unit friction scales.
     """
     plant = bind(p)
     f_x = [t / p.R_w for t in u[4:8]]
     normals = normal_forces((x[9], x[11], x[13], x[15]), ZERO4, p)
-    _, _, ci = plant.step_inputs(Inputs(u[0:4], u[4:8], u[8:12]))
+    _, _, ci = plant.step_inputs(u, ZERO4, (1.0, 1.0, 1.0, 1.0))
     return np.array(plant.chassis(x, f_x, normals, ci))
 
 

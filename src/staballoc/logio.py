@@ -8,9 +8,10 @@ polylines and axis labels), with no plotting dependency.
 from __future__ import annotations
 
 from array import array
-from collections.abc import Iterator, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .plant import ACTUATOR_NAMES
@@ -23,32 +24,7 @@ CSV_COLUMNS = (
     "v1", "v2", "v3", "v4", "v5", "resid",
 )
 _WIDTH = len(CSV_COLUMNS)
-_COLUMN_INDEX = {name: i for i, name in enumerate(CSV_COLUMNS)}
 _CSV_ROW = ",".join(["%r"] * _WIDTH) + "\n"     # %r of a float is its repr
-
-
-class _Columns(Mapping):
-    """The columns of a row buffer by name, read-only.
-
-    Each lookup gives one column as a strided read-only memoryview of the
-    buffer, so it copies nothing and a write through it raises TypeError.
-    While a view is alive the buffer cannot grow: RunLog.append then raises
-    BufferError.
-    """
-    __slots__ = ("_rows",)
-
-    def __init__(self, rows: array):
-        self._rows = rows
-
-    def __getitem__(self, name: str) -> memoryview:
-        i = _COLUMN_INDEX[name]
-        return memoryview(self._rows)[i::_WIDTH].toreadonly()
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(CSV_COLUMNS)
-
-    def __len__(self) -> int:
-        return _WIDTH
 
 
 @dataclass
@@ -75,7 +51,13 @@ class RunLog:
 
     @property
     def cols(self) -> Mapping[str, memoryview]:
-        return _Columns(self.rows)
+        """The columns by name, read-only: each is a strided read-only
+        memoryview of `rows`, so it copies nothing and a write through it
+        raises TypeError.  While the mapping or one of its views is alive,
+        `rows` cannot grow: append then raises BufferError."""
+        view = memoryview(self.rows).toreadonly()
+        return MappingProxyType({name: view[i::_WIDTH]
+                                 for i, name in enumerate(CSV_COLUMNS)})
 
     def __len__(self) -> int:
         return len(self.rows) // _WIDTH

@@ -9,16 +9,16 @@ elevation steps under the tires.
 
 Frame: x forward, y left, z up.  Pitch is positive nose-down, roll is
 positive left-side-up; yaw is positive counter-clockwise seen from above.
-Inertial pose (X, Y, psi) is carried along for trajectory logging.  A step
-takes an Inputs tuple or the input-only terms bind(p).step_inputs formed
-of it (step_rk4); state_derivative takes the terms only.
+Inertial pose (X, Y, psi) is carried along for trajectory logging.  A
+step's inputs are the 12-entry actuator vector and the per-wheel road steps
+and lateral friction scales; step_rk4 and state_derivative take the terms
+bind(p).step_inputs forms of them.
 """
 from __future__ import annotations
 
 import math
 from math import atan, cos, sin
-from typing import (Callable, List, NamedTuple, Optional, Sequence,
-                    Tuple, Union)
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .params import VehicleParams
 
@@ -45,18 +45,6 @@ STATE_NAMES = (
 )
 
 ZERO4 = (0.0, 0.0, 0.0, 0.0)
-
-
-class Inputs(NamedTuple):
-    """Actuator and environment inputs, four per-wheel values each (fl, fr,
-    rl, rr), held constant over one step.  The actuator entries are taken
-    as given: the harness clamps them to the envelope (steering +-30 deg,
-    wheel torque +-1500 N m, suspension force +-5000 N) once, by clip_u."""
-    steer: Sequence[float] = ZERO4
-    torque: Sequence[float] = ZERO4
-    f_z: Sequence[float] = ZERO4
-    z_road: Sequence[float] = ZERO4
-    lat_scale: Sequence[float] = (1.0, 1.0, 1.0, 1.0)
 
 
 class PlantDiverged(ArithmeticError):
@@ -104,12 +92,13 @@ class Plant(NamedTuple):
     """The plant equations of one VehicleParams, its constants bound as
     closure locals; bind(p) makes it.
 
-    step_inputs(u) forms the input-only terms once per step, as a tuple
-    (torque, z_road, ci); chassis(x, f_x, normals, ci) and derivative(x,
-    si) then evaluate the 17 control-oriented and the full 24 derivatives
-    at any number of states.
+    step_inputs(u, z_road, lat_scale) forms the input-only terms of the
+    12-entry actuator vector u, the road steps and the lateral friction
+    scales once per step, as a tuple (torque, z_road, ci); chassis(x, f_x,
+    normals, ci) and derivative(x, si) then evaluate the 17
+    control-oriented and the full 24 derivatives at any number of states.
     """
-    step_inputs: Callable[[Inputs], tuple]
+    step_inputs: Callable[..., tuple]
     chassis: Callable[..., List[float]]
     derivative: Callable[..., List[float]]
 
@@ -139,18 +128,18 @@ def _make_plant(p: VehicleParams) -> Plant:
     hw_ksf, hw_csf, hw_ksr, hw_csr = hw * ksf, hw * csf, hw * ksr, hw * csr
     k_tf, k_tr = ksf + k_uf, ksr + k_ur                 # suspension + tire
 
-    def step_inputs(u: Inputs) -> tuple:
-        """The input-only terms at the inputs u: the torques and road
-        steps, and for the chassis ci, the steer angles with their cos and
-        sin, the lateral friction scales, the suspension forces with their
-        pitch and roll moments, and the road steps times the tire
-        springs."""
-        steer, torque, f_z, z_road, lat_scale = u
-        d0, d1, d2, d3 = steer
-        fz0, fz1, fz2, fz3 = f_z
+    def step_inputs(u: Sequence[float], z_road: Sequence[float],
+                    lat_scale: Sequence[float]) -> tuple:
+        """The input-only terms of one step: the torques and road steps,
+        and for the chassis ci, the steer angles with their cos and sin,
+        the lateral friction scales, the suspension forces with their pitch
+        and roll moments, and the road steps times the tire springs.  The
+        actuator entries of u are taken as given: the harness clamps the
+        command to the envelope once, by clip_u."""
+        d0, d1, d2, d3, t0, t1, t2, t3, fz0, fz1, fz2, fz3 = u
         zr0, zr1, zr2, zr3 = z_road
         ls0, ls1, ls2, ls3 = lat_scale
-        return torque, z_road, (
+        return (t0, t1, t2, t3), z_road, (
             d0, d1, d2, d3, cos(d0), sin(d0), cos(d1), sin(d1),
             cos(d2), sin(d2), cos(d3), sin(d3), ls0, ls1, ls2, ls3,
             fz0, fz1, fz2, fz3, a * (fz0 + fz1), b * (fz2 + fz3),
@@ -326,8 +315,8 @@ def state_derivative(x: Sequence[float], si: tuple,
                      p: VehicleParams) -> List[float]:
     """Full state derivative; pure and deterministic in its arguments.
 
-    si is the terms bind(p).step_inputs formed of the step's Inputs, which
-    step_rk4 forms once for its four stages.
+    si is the terms bind(p).step_inputs formed of the step's inputs, once
+    for the four stages of step_rk4.
 
     Wheel i: slip ratio lam = (w*Rw - Vx) / (w*Rw if w*Rw >= Vx else Vx),
     the denominator floored at V_EPS and lam clamped to [-1, 1]; the tire
@@ -347,14 +336,14 @@ def _diverged(x: Sequence[float]) -> Optional[PlantDiverged]:
     return None
 
 
-def step_rk4(x: List[float], u: Union[Inputs, tuple], p: VehicleParams,
+def step_rk4(x: List[float], si: tuple, p: VehicleParams,
              dt: float) -> List[float]:
     """Advance the state list one fixed step with the inputs held constant
     (zero-order hold).
 
-    u is the Inputs, or the terms bind(p).step_inputs formed of them: the
-    closed loop forms them once per step and hands them to its next
-    measurement too.  It is the one entry of the plant that takes either.
+    si is the terms bind(p).step_inputs formed of the inputs: the closed
+    loop forms them once per step and hands them to its next measurement
+    too.
 
     Raises PlantDiverged, never silently clamps, when any entry of the
     result is non-finite or exceeds the blow-up bound, and also when a
@@ -363,12 +352,10 @@ def step_rk4(x: List[float], u: Union[Inputs, tuple], p: VehicleParams,
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    # classical RK4; the input-only terms are formed at most once for the
-    # four stages, and each stage looks state_derivative up as a global
+    # classical RK4; each stage looks state_derivative up as a global
     h = 0.5 * dt
     stage = x
     try:
-        si = bind(p).step_inputs(u) if type(u) is Inputs else u
         k1 = state_derivative(x, si, p)
         stage = [xi + h * ki for xi, ki in zip(x, k1)]
         k2 = state_derivative(stage, si, p)

@@ -11,8 +11,9 @@ from __future__ import annotations
 import math
 from typing import Callable, List, Sequence, Tuple
 
+from plant_state import Inputs
 from staballoc.params import VehicleParams
-from staballoc.plant import Inputs, _reg, normal_forces
+from staballoc.plant import _reg, normal_forces
 
 # ---------------------------------------------------------------------------
 # tire primitives

@@ -12,7 +12,7 @@ import pytest
 
 import golden
 from effort_map import build_by, lyapunov_value, theta_star
-from plant_state import PlantState
+from plant_state import Inputs, PlantState
 from staballoc.allocator import AdaptiveAllocator, solve_lyapunov
 from staballoc.cli import FIGURE_PAIRS
 from staballoc.controllers import C_ALPHA_DEFAULT, AllocatorConfig, Gains, \
@@ -22,7 +22,7 @@ from staballoc.linmodel import build_bl, linearize, reduced_derivative
 from staballoc.logio import emit_csv
 from staballoc.metrics import compute_metrics
 from staballoc.params import VehicleParams
-from staballoc.plant import Inputs, normal_forces, step_rk4
+from staballoc.plant import normal_forces, step_rk4
 from staballoc.scenario import load_scenario
 from staballoc.stability import max_closed_loop_eig
 
@@ -48,7 +48,7 @@ def runs(scenario_dir):
 
 def test_criterion_1_static_physics():
     x = PlantState(z=5e-5, phi=0.02, theta=5e-4).as_list()
-    inputs = Inputs()
+    inputs = Inputs().terms(P)
     for _ in range(5000):
         x = step_rk4(x, inputs, P, 1e-3)
     state = PlantState.from_list(x)
@@ -229,7 +229,7 @@ def test_criterion_8_linear_closed_loop_stability():
 def test_criterion_9_numerical_hygiene(runs, scenario_dir, tmp_path):
     # RK4 observed order on a smooth suspension transient
     x0 = PlantState(z=0.02, phi=0.01, theta=0.005).as_list()
-    u = Inputs()
+    u = Inputs().terms(P)
 
     def solve(dt, t_end=0.1):
         x = x0

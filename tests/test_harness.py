@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_plant as ref
-from plant_state import PlantState
+from plant_state import Inputs, PlantState
 from staballoc import harness
 from staballoc.allocator import AdaptiveAllocator
 from staballoc.cli import main as cli_main
@@ -28,7 +28,7 @@ from staballoc.logio import CSV_COLUMNS, RunLog
 from staballoc.metrics import compute_metrics
 from staballoc.params import VehicleParams
 from staballoc.plant import (ACTUATOR_NAMES, BLOW_UP_LIMIT, STATE_NAMES,
-                             U_LIMITS, ZERO4, Inputs, bind, step_rk4)
+                             U_LIMITS, ZERO4, bind, step_rk4)
 from staballoc.scenario import (ConfigError, Event, Events, load_scenario,
                                 parse_scenario)
 from staballoc.stability import closed_loop_matrix, max_closed_loop_eig
@@ -115,9 +115,9 @@ class TestFaultInjection:
 
 
 def sense(x, u, p):
-    """measure after a step at the Inputs u, through the terms
+    """measure after a step at the named inputs u, through the terms
     bind(p).step_inputs forms of them, as the loop hands them over."""
-    return measure(x, bind(p).step_inputs(u), p)
+    return measure(x, u.terms(p), p)
 
 
 class TestMeasurements:
@@ -142,7 +142,7 @@ class TestMeasurements:
         u = Inputs(torque=(torque,) * 4)
         x = PlantState.cruising(15.0, p).as_list()
         for _ in range(1000):
-            x = step_rk4(x, u, p, 1e-3)
+            x = step_rk4(x, u.terms(p), p, 1e-3)
         meas = sense(x, u, p)
         net = measured_net(meas["ax"], meas["ay"], meas["yaw_acc"],
                            meas["roll_acc"], meas["pitch_acc"],
@@ -273,7 +273,7 @@ class TestRunScenario:
         made, applied = [], []
 
         def recording(x, u, p, dt):
-            assert u == bind(p).step_inputs(made[-1])
+            assert u == made[-1].terms(p)
             applied.append([*made[-1].steer, *made[-1].torque,
                             *made[-1].f_z])
             return step_rk4(x, u, p, dt)
@@ -434,12 +434,18 @@ def hexes(values):
 
 
 def record_inputs(mp, made):
-    """Record each Inputs the loop builds in made; the loop hands step_rk4
-    and the next measurement the terms bind(p).step_inputs forms of it."""
-    def recorded(*args, **kwargs):
-        made.append(Inputs(*args, **kwargs))
-        return made[-1]
-    mp.setattr(harness, "Inputs", recorded)
+    """Record in made, as named Inputs, each actuator vector, road steps and
+    friction scales the loop hands bind(p).step_inputs; the loop hands
+    step_rk4 and the next measurement the terms it forms of them."""
+    def recorded_bind(p):
+        plant = bind(p)
+
+        def step_inputs(u, z_road, lat_scale):
+            made.append(Inputs(tuple(u[0:4]), tuple(u[4:8]), tuple(u[8:12]),
+                               z_road, lat_scale))
+            return plant.step_inputs(u, z_road, lat_scale)
+        return plant._replace(step_inputs=step_inputs)
+    mp.setattr(harness, "bind", recorded_bind)
 
 
 class TestPlantPathAgainstOracle:
@@ -452,14 +458,14 @@ class TestPlantPathAgainstOracle:
     @pytest.mark.parametrize("controller", ["proposed", "baseline",
                                             "hybrid"])
     def test_every_step_and_measurement(self, monkeypatch, controller):
-        # made[-1] is the Inputs of this step in step_rk4, and those of the
+        # made[-1] is the inputs of this step in step_rk4, and those of the
         # previous step (at first, the road and friction at t = 0) in
         # measure; each is handed over as the terms formed of it
         made, applied = [], []
 
         def checked_step(x, terms, p, dt):
             u = made[-1]
-            assert terms == bind(p).step_inputs(u)
+            assert terms == u.terms(p)
             nxt = step_rk4(x, terms, p, dt)
             want = ref.rk4(lambda v: ref.state_derivative(v, u, p), x, dt)
             assert hexes(nxt) == hexes(want), len(applied)
@@ -468,7 +474,7 @@ class TestPlantPathAgainstOracle:
 
         def checked_measure(x, prev_terms, p):
             prev_inputs = made[-1]
-            assert prev_terms == bind(p).step_inputs(prev_inputs)
+            assert prev_terms == prev_inputs.terms(p)
             meas = measure(x, prev_terms, p)
             d = ref.state_derivative(x, prev_inputs, p)
             v_x, v_y, r = x[0], x[1], x[2]
@@ -728,6 +734,35 @@ class TestCli:
         assert cli_main(["run", str(scn_file), "--out", str(out)]) == 3
         assert "configuration error" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_scenario_file_that_is_not_utf8_is_config_error(self, tmp_path,
+                                                            capsys):
+        scn_file = tmp_path / "bad.scn"
+        scn_file.write_bytes(SHORT.encode().replace(b"name = short",
+                                                    b"name = sh\xffrt"))
+        out = tmp_path / "out"
+        assert cli_main(["run", str(scn_file), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "configuration error" in err and str(scn_file) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "figures"])
+    def test_output_path_that_is_a_file_is_config_error_before_any_run(
+            self, tmp_path, command, capsys, monkeypatch):
+        from staballoc import cli
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a scenario ran")
+        monkeypatch.setattr(cli, "run_scenario", no_run)
+        scn_file = tmp_path / "short.scn"
+        scn_file.write_text(SHORT)
+        out = tmp_path / "out"
+        out.write_text("a file\n")
+        argv = ["run", str(scn_file)] if command == "run" else ["figures"]
+        assert cli_main([*argv, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "configuration error" in err and str(out) in err
+        assert out.read_text() == "a file\n"
 
     @pytest.mark.parametrize("dt", ["0", "-0.001", "0.003"])
     def test_bad_dt_is_config_error_and_writes_nothing(self, tmp_path, dt,

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from effort_map import ZEROED_ROWS, build_by, build_d, linear_model
-from plant_state import PlantState
+from plant_state import Inputs, PlantState
 from staballoc.controllers import C_ALPHA_DEFAULT, bn_is_invertible, \
     build_bn
 from staballoc.linmodel import build_bl, build_bv, linearize, \
     reduced_derivative
-from staballoc.plant import Inputs, bind, state_derivative
+from staballoc.plant import state_derivative
 
 STATIC_STEER = (0.0, 0.0, 0.0, 0.0)
 
@@ -40,8 +40,7 @@ class TestOneModel:
             u[0:4] = rng.uniform(-0.4, 0.4, 4)
             u[8:12] = rng.uniform(-4000.0, 4000.0, 4)
             x = s.as_list()
-            terms = bind(params).step_inputs(
-                Inputs(u[0:4], u[4:8], u[8:12]))
+            terms = Inputs(u[0:4], u[4:8], u[8:12]).terms(params)
             full = state_derivative(x, terms, params)
             red = reduced_derivative(x[:17], u, params)
             np.testing.assert_allclose(full[:17], red, rtol=1e-9, atol=0.0)

@@ -77,6 +77,19 @@ class TestRunLog:
         log.append([1.0] * len(CSV_COLUMNS), 0.5)
         assert len(log) == 4
 
+    def test_append_while_the_column_mapping_is_held_is_rejected_whole(self):
+        # the mapping holds a view of every column, so holding it alone
+        # pins the buffer as a held column does
+        log = make_log(3)
+        before = snapshot(log)
+        cols = log.cols
+        with pytest.raises(BufferError):
+            log.append([1.0] * len(CSV_COLUMNS), 0.5)
+        del cols
+        assert snapshot(log) == before
+        log.append([1.0] * len(CSV_COLUMNS), 0.5)
+        assert len(log) == 4
+
     def test_memory_per_logged_value(self):
         # each value is one 8-byte double in the row buffer, not a boxed
         # float; every row holds fresh floats, as a closed-loop run's do

@@ -7,24 +7,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_plant as ref
-from plant_state import PlantState
+from plant_state import Inputs, PlantState
 from reference_plant import (body_accelerations, longitudinal_slip,
                              magic_formula, rk4, slip_angles,
                              vertical_derivatives, wheel_spin_derivative,
                              yaw_acceleration)
 from staballoc.linmodel import reduced_derivative
 from staballoc.params import G, ConfigError, VehicleParams
-from staballoc.plant import (STATE_NAMES, V_EPS, Inputs, PlantDiverged,
-                             bind, clip_u, normal_forces, state_derivative,
+from staballoc.plant import (STATE_NAMES, V_EPS, PlantDiverged, bind,
+                             clip_u, normal_forces, state_derivative,
                              step_rk4)
 
 ZERO4 = (0.0, 0.0, 0.0, 0.0)
 
 
 def derivative(x, u, p):
-    """state_derivative at the Inputs u, through the terms that
+    """state_derivative at the named inputs u, through the terms that
     bind(p).step_inputs forms of them, as step_rk4 hands them over."""
-    return state_derivative(x, bind(p).step_inputs(u), p)
+    return state_derivative(x, u.terms(p), p)
 
 
 class TestParams:
@@ -224,7 +224,7 @@ class TestForceBounds:
         x = PlantState.cruising(15.0, params).as_list()
         u = Inputs(steer=(0.08, 0.08, 0.0, 0.0), torque=(300.0,) * 4)
         for k in range(600):
-            x = step_rk4(x, u, params, 1e-3)
+            x = step_rk4(x, u.terms(params), params, 1e-3)
             if k % 50 == 0:
                 normals = normal_forces(x[9:17:2], u.z_road, params)
                 alphas = slip_angles(x[0], x[1], x[2], u.steer, params)
@@ -247,7 +247,7 @@ class TestIntegrator:
 
     def test_zero_derivative_fixed_point(self, params):
         x = PlantState().as_list()
-        assert step_rk4(x, Inputs(), params, 1e-3) == x
+        assert step_rk4(x, Inputs().terms(params), params, 1e-3) == x
 
     def test_convergence_order(self, params):
         # free suspension transient: smooth, oscillatory, and short enough
@@ -259,7 +259,7 @@ class TestIntegrator:
         def solve(dt, t_end=0.1):
             x = x0
             for _ in range(int(round(t_end / dt))):
-                x = step_rk4(x, u, params, dt)
+                x = step_rk4(x, u.terms(params), params, dt)
             return x
 
         ref = solve(3.125e-5)
@@ -279,13 +279,13 @@ class TestIntegrator:
         u = Inputs()
         with pytest.raises(PlantDiverged):
             for _ in range(200):
-                x = step_rk4(x, u, params, 0.05)
+                x = step_rk4(x, u.terms(params), params, 0.05)
 
     def test_non_finite_state_raises_on_every_step(self, params):
         x = PlantState(z=float("nan")).as_list()
         for _ in range(2):
             with pytest.raises(PlantDiverged):
-                step_rk4(x, Inputs(), params, 1e-3)
+                step_rk4(x, Inputs().terms(params), params, 1e-3)
 
     @pytest.mark.parametrize("entry, value, reason", [
         # NaN spreads into Vx' (through r*Vy and the tire forces), and Vx
@@ -308,12 +308,12 @@ class TestIntegrator:
         x = PlantState().as_list()
         x[STATE_NAMES.index(entry)] = value
         with pytest.raises(PlantDiverged) as err:
-            step_rk4(x, Inputs(), params, 1e-3)
+            step_rk4(x, Inputs().terms(params), params, 1e-3)
         assert str(err.value) == reason
 
     def test_stage_error_without_a_bad_entry_propagates(self, params):
         with pytest.raises(ValueError, match="not enough values"):
-            step_rk4([0.0] * 23, Inputs(), params, 1e-3)
+            step_rk4([0.0] * 23, Inputs().terms(params), params, 1e-3)
 
 
 class TestTrajectoryInvariants:
@@ -321,7 +321,7 @@ class TestTrajectoryInvariants:
         x = PlantState(z=5e-5, phi=0.02, theta=5e-4).as_list()
         u = Inputs()
         for _ in range(5000):
-            x = step_rk4(x, u, params, 1e-3)
+            x = step_rk4(x, u.terms(params), params, 1e-3)
         s = PlantState.from_list(x)
         assert abs(s.zd) < 1e-6
         assert abs(s.phid) < 1e-6
@@ -336,7 +336,7 @@ class TestTrajectoryInvariants:
             u = Inputs(steer=(sign * 0.05,) * 4)
             out = []
             for k in range(1500):
-                x = step_rk4(x, u, params, 1e-3)
+                x = step_rk4(x, u.terms(params), params, 1e-3)
                 if k % 100 == 0:
                     s = PlantState.from_list(x)
                     out.append((s.Y, s.psi, s.phi, s.Vy))
@@ -375,7 +375,7 @@ def signed(bound):
 
 
 def clamped(steer, torque, f_z, **env):
-    """Inputs as the harness builds them, the command clamped by clip_u;
+    """Named inputs of the command as the harness clamps it, by clip_u;
     draws beyond the envelope land on its bounds."""
     u = clip_u([*steer, *torque, *f_z])
     return Inputs(u[0:4], u[4:8], u[8:12], **env)
@@ -480,7 +480,7 @@ class TestKernel:
         p, x, u = case
         expected = ref.rk4(lambda v: ref.state_derivative(v, u, p), x, dt)
         try:
-            nxt = step_rk4(x, u, p, dt)
+            nxt = step_rk4(x, u.terms(p), p, dt)
         except PlantDiverged:
             return
         assert hexes(nxt) == hexes(expected)
