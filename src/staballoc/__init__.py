@@ -11,7 +11,7 @@ from importlib import import_module
 from .controllers import AllocatorConfig, ControllerState, DriverInput, \
     Gains, PiecewiseLinear, build_bn, measured_net
 from .harness import run_scenario, sweep_max_speed
-from .logio import RunLog, emit_csv, emit_svg_plots, parse_csv
+from .logio import RunLog, emit_csv, emit_svg_plots
 from .metrics import Metrics, compute_metrics
 from .params import G, VehicleParams
 from .plant import PlantDiverged, step_rk4
@@ -71,7 +71,6 @@ __all__ = [
     "load_scenario",
     "max_closed_loop_eig",
     "measured_net",
-    "parse_csv",
     "parse_scenario",
     "run_scenario",
     "solve_lyapunov",

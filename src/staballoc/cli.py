@@ -29,7 +29,8 @@ from .harness import override, run_scenario, sweep_max_speed
 from .logio import emit_csv, emit_svg_plots
 from .metrics import compute_metrics
 from .params import VehicleParams
-from .scenario import CONTROLLERS, ConfigError, load_scenario
+from .plant import BLOW_UP_LIMIT, V_EPS
+from .scenario import CONTROLLERS, R_W, ConfigError, load_scenario
 
 EXIT_OK = 0
 EXIT_DIVERGED = 2
@@ -100,8 +101,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_stability(args: argparse.Namespace) -> int:
-    if not 0.0 < args.v0 < math.inf:
-        raise ConfigError(f"--v0 must be positive, not {args.v0!r}")
+    # the speeds a Scenario accepts, from the slip floor the plant clamps at
+    if not (V_EPS <= args.v0 and args.v0 / R_W <= BLOW_UP_LIMIT):
+        raise ConfigError(f"--v0 {args.v0!r} must be in [{V_EPS:g}, "
+                          f"{BLOW_UP_LIMIT * R_W:g}] m/s")
     from .stability import max_closed_loop_eig
     p = VehicleParams()
     worst = max_closed_loop_eig(Gains(), args.v0, p)

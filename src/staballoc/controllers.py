@@ -27,6 +27,9 @@ from .params import G, ConfigError, VehicleParams
 from .plant import STEER_LIMIT, clip
 
 C_ALPHA_DEFAULT = 8.0  # per-unit-normal-force cornering gain [1/rad]
+# the c_alpha a run accepts; far outside it (about 1e+-155) the squared
+# column norms of the effort map overflow or vanish, and no allocator exists
+C_ALPHA_RANGE = (1.0e-3, 1.0e3)
 
 BN_EPS = 1.0e-6  # |diagonal entries| below this flag B_n as non-invertible
 
@@ -157,11 +160,15 @@ class AllocatorConfig:
 
     def __post_init__(self) -> None:
         for name in ("am_scale", "gamma", "v_scale", "theta_bound_factor",
-                     "theta_bound_floor", "c_alpha"):
+                     "theta_bound_floor"):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
                 raise ConfigError(f"allocator {name} must be positive and "
                                   f"finite, not {value!r}")
+        low, high = C_ALPHA_RANGE
+        if not low <= self.c_alpha <= high:
+            raise ConfigError(f"allocator c_alpha must be in [{low:g}, "
+                              f"{high:g}] 1/rad, not {self.c_alpha!r}")
         if not 0.0 < self.proj_margin < 1.0:
             raise ConfigError(f"allocator proj_margin must be in (0, 1), "
                               f"not {self.proj_margin!r}")

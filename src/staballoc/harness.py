@@ -147,13 +147,12 @@ def override(scn: Scenario, controller: Optional[str],
 
 
 def run_scenario(scn: Scenario, controller: Optional[str] = None,
-                 dt: Optional[float] = None,
                  beta_limit: float = math.inf) -> RunLog:
     """Simulate one scenario on the stock vehicle and return the per-step log.
 
-    The scenario carries every setting of the run; controller and dt, when
-    given, replace its own (override).  A bad one, or a beta_limit that is
-    not positive, raises ConfigError before any step.  The run stops early
+    The scenario carries every setting of the run; a controller, when
+    given, replaces its own (override).  A bad one, or a beta_limit that
+    is not positive, raises ConfigError before any step.  The run stops early
     with a partial log when the plant diverges, or after the first step
     whose logged |beta| reaches beta_limit; up to there the log is the same
     as that of the full run.  Only the allocator modes import the array
@@ -161,7 +160,7 @@ def run_scenario(scn: Scenario, controller: Optional[str] = None,
     """
     if not beta_limit > 0.0:
         raise ConfigError(f"beta_limit {beta_limit!r} is not positive")
-    scn = override(scn, controller, dt)
+    scn = override(scn, controller, None)
     dt, mode = scn.dt, scn.controller
     p = VehicleParams()
 

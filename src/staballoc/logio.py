@@ -1,9 +1,9 @@
 """Run logs and their CSV/SVG emitters.
 
 CSV values are written with repr(), the shortest round-trip form, so
-parse(emit(log)) reproduces every finite float bit-exactly and repeated
-runs produce byte-identical files.  SVG plots are written directly (a few
-polylines and axis labels), with no plotting dependency.
+float() of each cell reproduces every finite float bit-exactly and
+repeated runs produce byte-identical files.  SVG plots are written
+directly (a few polylines and axis labels), with no plotting dependency.
 """
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .plant import ACTUATOR_NAMES
 
@@ -94,36 +94,6 @@ def emit_csv(log: RunLog, path: str | Path) -> Path:
     except OSError as exc:
         raise OSError(f"cannot write CSV to {path}: {exc}") from exc
     return path
-
-
-def parse_csv(path: str | Path) -> Dict[str, List[float]]:
-    """Columns of a CSV written by emit_csv.  An empty file, a row with
-    another number of cells than the header, or a cell that is not a
-    number raises ValueError naming the file and the line; for a cell, the
-    column too."""
-    path = Path(path)
-    try:
-        lines = path.read_text().splitlines()
-    except OSError as exc:
-        raise OSError(f"cannot read CSV from {path}: {exc}") from exc
-    if not lines:
-        raise ValueError(f"{path}, line 1: empty file, no CSV header")
-    header = lines[0].split(",")
-    data: Dict[str, List[float]] = {h: [] for h in header}
-    for number, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        cells = line.split(",")
-        if len(cells) != len(header):
-            raise ValueError(f"{path}, line {number}: {len(cells)} cells, "
-                             f"the header has {len(header)}")
-        try:
-            for h, v in zip(header, cells):
-                data[h].append(float(v))
-        except ValueError:
-            raise ValueError(f"{path}, line {number}, column {h}: {v!r} "
-                             f"is not a number") from None
-    return data
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,9 @@ SCENARIO_KEYS = ("name", "v0", "horizon", "dt", "controller")
 DRIVER_KEYS = ("steer", "pedal", "brake")  # profiles, each "0:0" if absent
 
 R_W = VehicleParams().R_w  # stock wheel radius; a run starts at w = v0/R_W
+# each logged step keeps 34 doubles (33 CSV columns and r_ref), 272 bytes,
+# so a run's log stays under about 272 MB
+MAX_STEPS = 1_000_000
 
 TIRE_SETS = {
     "fl": (0,), "fr": (1,), "rl": (2,), "rr": (3,),
@@ -101,7 +104,7 @@ class Events(tuple):
     of time order.  Compiled events pass through unchanged.
     """
 
-    def __new__(cls, events: Sequence[Event] = ()) -> "Events":
+    def __new__(cls, events: Sequence[Event]) -> "Events":
         if isinstance(events, Events):
             return events
         self = super().__new__(cls, events)
@@ -147,7 +150,7 @@ class Scenario:
     wheel speed v0 / R_w (stock R_w) within BLOW_UP_LIMIT, so a start
     state is never past the plant's divergence bound, and dt and the
     horizon are positive and finite, dt dividing the horizon into a whole
-    number n_steps >= 1 of steps, which the Scenario keeps."""
+    number 1 <= n_steps <= MAX_STEPS of steps, which the Scenario keeps."""
     name: str
     v0: float
     horizon: float
@@ -175,6 +178,9 @@ class Scenario:
             raise ConfigError(f"dt and horizon must be positive "
                               f"(dt={dt!r}, horizon={horizon!r})")
         steps = horizon / dt
+        if not steps <= MAX_STEPS:
+            raise ConfigError(f"dt={dt!r} divides the horizon {horizon!r} "
+                              f"into more than {MAX_STEPS} steps")
         n = round(steps)
         if n < 1 or abs(steps - n) > 1.0e-6:
             raise ConfigError(f"dt={dt!r} must divide the horizon "

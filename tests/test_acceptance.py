@@ -17,7 +17,8 @@ from staballoc.allocator import AdaptiveAllocator, solve_lyapunov
 from staballoc.cli import FIGURE_PAIRS
 from staballoc.controllers import C_ALPHA_DEFAULT, AllocatorConfig, Gains, \
     build_bn
-from staballoc.harness import BETA_LIMIT, run_scenario, sweep_max_speed
+from staballoc.harness import (BETA_LIMIT, override, run_scenario,
+                               sweep_max_speed)
 from staballoc.linmodel import build_bl, linearize, reduced_derivative
 from staballoc.logio import emit_csv
 from staballoc.metrics import compute_metrics
@@ -186,8 +187,7 @@ def test_baseline_spin_in_the_fault_run_depends_on_dt(runs, scenario_dir):
     _, m_1ms = runs[("actuator_fault", "baseline")]
     assert m_1ms.spin and math.degrees(m_1ms.max_beta) > 80.0
     scn = load_scenario(scenario_dir / "actuator_fault.scn")
-    m_2ms = compute_metrics(run_scenario(scn, controller="baseline",
-                                         dt=2e-3))
+    m_2ms = compute_metrics(run_scenario(override(scn, "baseline", 2e-3)))
     assert not m_2ms.spin and not m_2ms.diverged
     assert math.degrees(m_2ms.max_beta) < 10.0
 
@@ -196,7 +196,8 @@ def test_fault_run_max_beta_converges_in_dt(runs, scenario_dir):
     # the proposed controller's actuator-fault max|beta| at dt = 2, 1 and
     # 0.5 ms agrees within 0.01 deg (the 1 ms run is the shared one)
     scn = load_scenario(scenario_dir / "actuator_fault.scn")
-    betas = [math.degrees(compute_metrics(run_scenario(scn, dt=dt)).max_beta)
+    betas = [math.degrees(compute_metrics(
+        run_scenario(override(scn, None, dt))).max_beta)
              for dt in (2e-3, 5e-4)]
     betas.insert(1, math.degrees(runs[("actuator_fault", "proposed")][1]
                                  .max_beta))

@@ -31,6 +31,18 @@ class TestConfig:
         with pytest.raises(ConfigError, match=name):
             AllocatorConfig(**{name: value})
 
+    @pytest.mark.parametrize("c_alpha", [1e-300, 9e-4, 1.1e3, 1e300])
+    def test_c_alpha_outside_its_range_rejected(self, c_alpha):
+        # at 1e-300 and 1e300 the allocator could not be built: its effort
+        # map lost a column or its rank
+        with pytest.raises(ConfigError, match="c_alpha must be in"):
+            AllocatorConfig(c_alpha=c_alpha)
+
+    @pytest.mark.parametrize("c_alpha", [1e-3, 1e3])
+    def test_c_alpha_range_ends_build_an_allocator(self, c_alpha):
+        AdaptiveAllocator(build_bl(VehicleParams(), c_alpha),
+                          AllocatorConfig(c_alpha=c_alpha))
+
     @pytest.mark.parametrize("margin", [0.0, 1.0, -0.05, 1.5, math.nan])
     def test_proj_margin_outside_unit_interval_rejected(self, margin):
         with pytest.raises(ConfigError, match="proj_margin"):

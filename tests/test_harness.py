@@ -21,8 +21,8 @@ from staballoc.controllers import (C_ALPHA_DEFAULT, AllocatorConfig,
                                    ControllerState, Gains, build_bn,
                                    measured_net)
 from staballoc.harness import (BETA_LIMIT, _Loop, apply_faults, clip_u,
-                               friction_scale, measure, road_elevation,
-                               run_scenario, sweep_max_speed)
+                               friction_scale, measure, override,
+                               road_elevation, run_scenario, sweep_max_speed)
 from staballoc.linmodel import build_bl
 from staballoc.logio import CSV_COLUMNS, RunLog
 from staballoc.metrics import compute_metrics
@@ -58,7 +58,7 @@ dt = 0.001
 class TestFaultInjection:
     def test_no_events_is_identity(self):
         u = np.arange(12.0)
-        out = apply_faults(u, Events(), 5.0)
+        out = apply_faults(u, Events(()), 5.0)
         np.testing.assert_array_equal(out, u)
 
     def test_unit_multiplier_is_identity(self):
@@ -302,13 +302,16 @@ class TestRunScenario:
         # without yaw-moment feedback the yaw response differs
         assert log_weak.cols["r"][1500] != log_strong.cols["r"][1500]
 
-    @pytest.mark.parametrize("dt", [0.0, -0.001, 0.003, math.nan, math.inf])
+    # 1e-9 and 1e-300 give more than MAX_STEPS steps, and 1e-320 more
+    # steps than an int can hold
+    @pytest.mark.parametrize("dt", [0.0, -0.001, 0.003, math.nan, math.inf,
+                                    1e-9, 1e-300, 1e-320])
     def test_bad_dt_rejected(self, dt):
         with pytest.raises(ConfigError, match="dt"):
-            run_scenario(parse_scenario(SHORT), dt=dt)
+            run_scenario(override(parse_scenario(SHORT), None, dt))
 
     def test_explicit_dt_sets_the_step(self):
-        log = run_scenario(parse_scenario(SHORT), dt=0.002)
+        log = run_scenario(override(parse_scenario(SHORT), None, 0.002))
         assert log.dt == 0.002
         assert len(log) == 1000
 
@@ -725,7 +728,9 @@ class TestCli:
         ("brake = 0:0", "brake = 0:0\n[events]\n1 elevation all inf"),
         ("brake = 0:0", "brake = 0:0\n[gains]\nkp_mz = inf"),
         ("brake = 0:0", "brake = 0:0\n[gains]\nv_max_f = -13000"),
-        ("brake = 0:0", "brake = 0:0\n[allocator]\ngamma = nan")])
+        ("brake = 0:0", "brake = 0:0\n[allocator]\ngamma = nan"),
+        ("brake = 0:0", "brake = 0:0\n[allocator]\nc_alpha = 1e300"),
+        ("brake = 0:0", "brake = 0:0\n[allocator]\nc_alpha = 1e-300")])
     def test_non_finite_or_negative_limit_is_config_error(self, tmp_path,
                                                           old, new, capsys):
         scn_file = tmp_path / "bad.scn"
@@ -764,13 +769,31 @@ class TestCli:
         assert "configuration error" in err and str(out) in err
         assert out.read_text() == "a file\n"
 
-    @pytest.mark.parametrize("dt", ["0", "-0.001", "0.003"])
+    @pytest.mark.parametrize("dt", ["0", "-0.001", "0.003", "1e-9",
+                                    "1e-300", "1e-320"])
     def test_bad_dt_is_config_error_and_writes_nothing(self, tmp_path, dt,
                                                        scenario_dir, capsys):
         out = tmp_path / "out"
         assert cli_main(["run", str(scenario_dir / "high_speed.scn"),
                          "--dt", dt, "--out", str(out)]) == 3
-        assert "configuration error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("horizon, dt", [
+        ("0.2", "1e-320"), ("0.2", "1e-9"), ("0.2", "1e-300"),
+        ("1e300", "0.001")])
+    def test_step_count_past_the_bound_is_config_error_and_writes_nothing(
+            self, tmp_path, horizon, dt, capsys):
+        scn_file = tmp_path / "long.scn"
+        scn_file.write_text(STRAIGHT.replace("horizon = 2.0",
+                                             f"horizon = {horizon}")
+                            .replace("dt = 0.001", f"dt = {dt}"))
+        out = tmp_path / "out"
+        assert cli_main(["run", str(scn_file), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and err.count("\n") == 1
+        assert f"dt={float(dt)!r}" in err and "horizon" in err
         assert not out.exists()
 
     def test_module_entry_point_runs_from_a_checkout(self, tmp_path,
@@ -820,8 +843,14 @@ class TestCli:
         assert not out.exists()
 
     def test_non_positive_stability_speed_is_config_error(self, capsys):
-        assert cli_main(["stability", "--v0", "0"]) == 3
-        assert "configuration error" in capsys.readouterr().err
+        # outside [V_EPS, BLOW_UP_LIMIT * R_w]: the assembled matrix would
+        # hold inf at the extremes
+        for v0 in ("0", "0.09", "3.4e5", "1e10", "1e200", "1e300", "1e-310",
+                   "5e-324", "nan", "inf"):
+            assert cli_main(["stability", "--v0", v0]) == 3, v0
+            captured = capsys.readouterr()
+            assert captured.err.startswith("configuration error"), v0
+            assert captured.err.count("\n") == 1 and not captured.out, v0
 
     def test_failure_inside_a_run_is_not_a_config_error(self, tmp_path,
                                                         monkeypatch, capsys):
@@ -879,9 +908,11 @@ class TestCli:
                          capsys.readouterr().err)
 
     def test_stability_subcommand(self, capsys):
-        assert cli_main(["stability", "--v0", "20"]) == 0
-        out = capsys.readouterr().out
-        assert "internally stable" in out
+        # 0.1 and 3.3e5 m/s are the ends of the speed range
+        for v0 in ("20", "0.1", "3.3e5"):
+            assert cli_main(["stability", "--v0", v0]) == 0, v0
+            out = capsys.readouterr().out
+            assert "internally stable" in out, v0
 
     def test_sweep_subcommand(self, tmp_path, capsys):
         scn_file = tmp_path / "short.scn"

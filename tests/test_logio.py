@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import math
 import tracemalloc
@@ -5,9 +6,8 @@ import tracemalloc
 import pytest
 
 from staballoc.harness import run_scenario
-from staballoc.logio import (CSV_COLUMNS, RunLog, emit_csv, emit_svg_plots,
-                             parse_csv)
-from staballoc.scenario import load_scenario
+from staballoc.logio import CSV_COLUMNS, RunLog, emit_csv, emit_svg_plots
+from staballoc.scenario import check_events, load_scenario
 
 
 def make_log(n=20):
@@ -20,6 +20,16 @@ def make_log(n=20):
                     "N_fl": 3507.075, "resid": 0.5 / (k + 1)})
         log.append([row[c] for c in CSV_COLUMNS], 0.0)
     return log
+
+
+def read_columns(path):
+    """The columns of a CSV, read with the csv module and float() alone,
+    independently of the package."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    header, body = rows[0], rows[1:]
+    assert all(len(row) == len(header) for row in body)
+    return {h: [float(row[i]) for row in body] for i, h in enumerate(header)}
 
 
 def snapshot(log):
@@ -119,7 +129,7 @@ class TestCsv:
     def test_round_trip_is_bit_exact(self, tmp_path):
         log = make_log(50)
         path = emit_csv(log, tmp_path / "demo.csv")
-        data = parse_csv(path)
+        data = read_columns(path)
         for c in CSV_COLUMNS:
             assert data[c] == list(log.cols[c])
 
@@ -127,17 +137,20 @@ class TestCsv:
     def test_closed_loop_run_round_trips(self, tmp_path, scenario_dir,
                                          controller):
         # past the 1 s actuator fault, so the plant input differs from the
-        # logged command
+        # logged command; the events after the shortened horizon go, since
+        # they could never fire
         scn = load_scenario(scenario_dir / "actuator_fault.scn")
-        scn = dataclasses.replace(scn, horizon=1.2)
+        scn = dataclasses.replace(scn, horizon=1.2, events=tuple(
+            ev for ev in scn.events if ev.time < 1.2))
+        check_events(scn)
         log = run_scenario(scn, controller=controller)
         assert len(log) == 1200
-        data = parse_csv(emit_csv(log, tmp_path / "run.csv"))
+        data = read_columns(emit_csv(log, tmp_path / "run.csv"))
         for c in CSV_COLUMNS:
-            # float.hex tells -0.0 from 0.0, so this is bit for bit
+            # float.hex tells -0.0 from 0.0 and takes only floats, so this
+            # is bit for bit
             assert list(map(float.hex, data[c])) == \
                 list(map(float.hex, log.cols[c])), c
-            assert all(type(v) is float for v in log.cols[c]), c
         assert all(type(v) is float for v in log.r_ref)
 
     def test_repeated_emission_is_byte_identical(self, tmp_path):
@@ -145,34 +158,6 @@ class TestCsv:
         p1 = emit_csv(log, tmp_path / "a.csv")
         p2 = emit_csv(log, tmp_path / "b.csv")
         assert p1.read_bytes() == p2.read_bytes()
-
-    def test_empty_file_names_the_file_and_line(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("")
-        with pytest.raises(ValueError, match=r"empty\.csv, line 1: empty"):
-            parse_csv(path)
-
-    @pytest.mark.parametrize("width", [32, 34])
-    def test_row_of_another_width_names_the_file_and_line(self, tmp_path,
-                                                          width):
-        # a short row must not leave columns of unequal length, nor a long
-        # one lose its extra cells
-        path = emit_csv(make_log(5), tmp_path / "ragged.csv")
-        lines = path.read_text().splitlines()
-        lines[3] = ",".join(["0.0"] * width)
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=rf"ragged\.csv, line 4: {width} "
-                                             rf"cells, the header has 33"):
-            parse_csv(path)
-
-    @pytest.mark.parametrize("cell", ["abc", "", "1.0.0"])
-    def test_cell_that_is_not_a_number_names_file_line_and_column(
-            self, tmp_path, cell):
-        path = tmp_path / "bad.csv"
-        path.write_text(f"t,Vx\n0.0,1.0\n0.001,{cell}\n")
-        with pytest.raises(ValueError, match=rf"bad\.csv, line 3, column Vx: "
-                                             rf"{cell!r} is not a number"):
-            parse_csv(path)
 
     def test_io_error_has_path_context(self, tmp_path):
         with pytest.raises(OSError, match="no/such/dir"):

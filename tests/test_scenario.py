@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from staballoc.cli import main as cli_main
-from staballoc.controllers import AllocatorConfig, Gains
+from staballoc.controllers import C_ALPHA_RANGE, AllocatorConfig, Gains
 from staballoc.params import VehicleParams
 from staballoc.plant import BLOW_UP_LIMIT
 from staballoc.scenario import (EVENT_TARGETS, ConfigError, Event,
@@ -299,6 +299,8 @@ def gain_values(name):
 def allocator_values(name):
     if name == "proj_margin":
         return st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    if name == "c_alpha":
+        return st.floats(*C_ALPHA_RANGE)
     return st.floats(1.0e-9, 1.0e9)
 
 
