@@ -10,9 +10,10 @@ Subcommands::
     staballoc stability --v0 <m/s>
 
 Exit codes: 0 completed, 2 the plant diverged, 3 configuration error
-(ConfigError: a bad scenario file, setting or argument, or an output
-directory that cannot be made; run checks these before it runs).  Any other
-error during a run propagates with its traceback.
+(ConfigError: a command line the parser rejects, a bad scenario file,
+setting or argument, or an output directory that cannot be made; run checks
+these before it runs).  Any other error during a run propagates with its
+traceback.
 
 Only the commands that use arrays import NumPy: run, figures and sweep
 with an allocator controller (proposed, hybrid), and stability.
@@ -114,9 +115,17 @@ def _cmd_stability(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a ConfigError (exit 3): argparse's own exit code 2
+    means here that the plant diverged.  The subparsers are of this class
+    too."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="staballoc",
-                                 description=__doc__.splitlines()[0])
+    ap = _Parser(prog="staballoc", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="simulate one scenario file")
@@ -149,8 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

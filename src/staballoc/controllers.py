@@ -190,11 +190,13 @@ class ControllerState:
 def yaw_rate_reference(delta_in: float, v_x: float, g: Gains,
                        p: VehicleParams) -> float:
     """Steady-state yaw-rate reference from the linear single-track model,
-    magnitude-limited by the friction circle mu*G/Vx."""
-    v = max(v_x, 0.1)
+    magnitude-limited by the friction circle mu*G/Vx; the comparisons are
+    those of max(v_x, 0.1) and max(-limit, min(limit, r_ref))."""
+    v = 0.1 if 0.1 > v_x else v_x
     r_ref = v * delta_in / (p.L + g.k_understeer * v * v)
     limit = p.mu * G / v
-    return max(-limit, min(limit, r_ref))
+    r_ref = r_ref if r_ref < limit else limit
+    return r_ref if r_ref > -limit else -limit
 
 
 def traction_demand(f_ref: float, F: float, g: Gains, cs: ControllerState,
@@ -253,10 +255,11 @@ def baseline_rear_steer(delta_f: float, v_x: float, n_front: float,
     """Rear steering proportional to the front command.
 
     The speed-scheduled ratio is negative at low speed (maneuverability) and
-    positive at high speed (stability).
+    positive at high speed (stability).  Each axle load is floored at
+    1 N as max(n, 1.0) does it.
     """
-    n_f = max(n_front, 1.0)
-    n_r = max(n_rear, 1.0)
+    n_f = 1.0 if 1.0 > n_front else n_front
+    n_r = 1.0 if 1.0 > n_rear else n_rear
     mv2 = p.m * v_x * v_x
     k_s = ((mv2 * p.a - p.b * p.L * c_alpha * n_r)
            / (mv2 * p.b + p.a * p.L * c_alpha * n_f)) * (n_f / n_r)
@@ -265,8 +268,14 @@ def baseline_rear_steer(delta_f: float, v_x: float, n_front: float,
 
 def baseline_traction(f_c: float, normals: Sequence[float],
                       p: VehicleParams) -> Tuple[float, float, float, float]:
-    """Wheel torque split inversely proportional to the normal loads."""
-    return tuple(f_c * p.weight / (4.0 * max(n, 1.0)) for n in normals)
+    """Wheel torque split inversely proportional to the normal loads, each
+    floored at 1 N as max(n, 1.0) does it (a NaN load passes through)."""
+    fw = f_c * p.weight
+    n0, n1, n2, n3 = normals
+    return (fw / (4.0 * (1.0 if 1.0 > n0 else n0)),
+            fw / (4.0 * (1.0 if 1.0 > n1 else n1)),
+            fw / (4.0 * (1.0 if 1.0 > n2 else n2)),
+            fw / (4.0 * (1.0 if 1.0 > n3 else n3)))
 
 
 def baseline_suspension(theta: float, phi: float, g: Gains,

@@ -37,6 +37,7 @@ if TYPE_CHECKING:
     from .allocator import AdaptiveAllocator
 
 BETA_LIMIT = math.radians(15.0)  # a sweep run survives below this max|beta|
+V_ZERO = (0.0,) * 5  # the virtual control a baseline run logs
 
 
 def apply_faults(u_commanded: Sequence[float], events: Events,
@@ -95,7 +96,7 @@ class _Loop:
 
     def command(self, delta_in: float, f_ref: float,
                 meas: Dict, dt: float, p: VehicleParams,
-                ) -> Tuple[List[float], List[float], float, float]:
+                ) -> Tuple[List[float], Sequence[float], float, float]:
         """Returns (u_commanded, v, r_ref, residual), all in floats."""
         normals = meas["N"]
         if self.mode == "baseline":
@@ -111,7 +112,7 @@ class _Loop:
             f_z = baseline_suspension(meas["theta"], meas["phi"],
                                       self.gains, self.cs, dt)
             u = [delta_in, delta_in, d_r, d_r, *torques, *f_z]
-            return clip_u(u), [0.0] * 5, r_ref, 0.0
+            return clip_u(u), V_ZERO, r_ref, 0.0
 
         v, r_ref = virtual_control(delta_in, f_ref, meas, self.gains,
                                    self.cs, dt, p)

@@ -22,7 +22,12 @@ class Metrics:
 
 
 def _rms(values) -> float:
-    return math.sqrt(sum(v * v for v in values) / len(values))
+    # the squares add from 0.0 left to right, as Python 3.11's sum() adds
+    # them; from 3.12 on sum() compensates the rounding
+    total = 0.0
+    for v in values:
+        total += v * v
+    return math.sqrt(total / len(values))
 
 
 def compute_metrics(log: RunLog) -> Metrics:

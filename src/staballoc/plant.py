@@ -70,8 +70,10 @@ def clip(x: float, lim: float) -> float:
 
 
 def clip_u(u: Sequence[float]) -> List[float]:
-    """The 12-entry actuator vector clamped to the physical envelope."""
-    return [clip(x, lim) for x, lim in zip(u, U_LIMITS)]
+    """The 12-entry actuator vector clamped to the physical envelope, each
+    entry as clip does it (written inline: it runs once per step)."""
+    return [lim if x > lim else -lim if x < -lim else x
+            for x, lim in zip(u, U_LIMITS)]
 
 
 def normal_forces(z_u: Sequence[float], z_road: Sequence[float],
@@ -163,7 +165,7 @@ def _make_plant(p: VehicleParams) -> Plant:
         does it.
         """
         (v_x, v_y, r, z, zd, phi, phid, theta, thetad,
-         zu0, zud0, zu1, zud1, zu2, zud2, zu3, zud3, *_) = x
+         zu0, zud0, zu1, zud1, zu2, zud2, zu3, zud3) = x[:17]
         fx0, fx1, fx2, fx3 = f_x
         n0, n1, n2, n3 = normals
         (d0, d1, d2, d3, cd0, sd0, cd1, sd1, cd2, sd2, cd3, sd3,
@@ -197,8 +199,11 @@ def _make_plant(p: VehicleParams) -> Plant:
         fxb2, fyb2 = fx2 * cd2 - fy2 * sd2, fy2 * cd2 + fx2 * sd2
         fxb3, fyb3 = fx3 * cd3 - fy3 * sd3, fy3 * cd3 + fx3 * sd3
 
-        a_x = (sum((fxb0, fxb1, fxb2, fxb3)) - drag_k * v_x * v_x) / m
-        a_y = sum((fyb0, fyb1, fyb2, fyb3)) / m
+        # the force sums run from 0.0 left to right, the float additions
+        # Python 3.11's sum() makes; from 3.12 on sum() compensates the
+        # rounding, which would make the logs depend on the interpreter
+        a_x = (0.0 + fxb0 + fxb1 + fxb2 + fxb3 - drag_k * v_x * v_x) / m
+        a_y = (0.0 + fyb0 + fyb1 + fyb2 + fyb3) / m
         rdot = (hw * (fxb1 + fxb3 - fxb0 - fxb2) + a * (fyb0 + fyb1)
                 - b * (fyb2 + fyb3)) / I_z
 
@@ -324,7 +329,10 @@ def state_derivative(x: Sequence[float], si: tuple,
     the spin balance is I_w*w' = T - sgn(w)*N*rr(Vx) - f_x*R_w with the
     rolling-resistance coefficient rr = p0 + p1*Vx/30 + p2*(Vx/30)^4.
     """
-    return bind(p).derivative(x, si)
+    plant = p._plant
+    if plant is None:
+        plant = bind(p)
+    return plant.derivative(x, si)
 
 
 def _diverged(x: Sequence[float]) -> Optional[PlantDiverged]:

@@ -50,6 +50,9 @@ SCENARIO_KEYS = ("name", "v0", "horizon", "dt", "controller")
 DRIVER_KEYS = ("steer", "pedal", "brake")  # profiles, each "0:0" if absent
 
 R_W = VehicleParams().R_w  # stock wheel radius; a run starts at w = v0/R_W
+# file systems hold names of at most 255 bytes, and the longest file a run
+# writes is <name>_<controller>_timeseries.svg
+MAX_NAME_BYTES = 255 - max(len(f"_{c}_timeseries.svg") for c in CONTROLLERS)
 # each logged step keeps 34 doubles (33 CSV columns and r_ref), 272 bytes,
 # so a run's log stays under about 272 MB
 MAX_STEPS = 1_000_000
@@ -144,9 +147,10 @@ class Events(tuple):
 @dataclass(frozen=True)
 class Scenario:
     """One run: vehicle start, driver, events and controller settings.
-    ConfigError unless the name is non-empty and holds no '/', '\\' or
-    NUL (it is the stem of every output file, which must stay in the
-    output directory), the controller is known, v0 >= 0 with its start
+    ConfigError unless the name is non-empty, holds no '/', '\\' or NUL
+    and takes at most MAX_NAME_BYTES bytes in UTF-8 (it is the stem of every
+    output file, which must stay in the output directory and fit a file
+    system's names), the controller is known, v0 >= 0 with its start
     wheel speed v0 / R_w (stock R_w) within BLOW_UP_LIMIT, so a start
     state is never past the plant's divergence bound, and dt and the
     horizon are positive and finite, dt dividing the horizon into a whole
@@ -166,6 +170,12 @@ class Scenario:
         if not self.name or any(c in self.name for c in "/\\\0"):
             raise ConfigError(f"scenario name {self.name!r} must be "
                               f"non-empty and free of '/', '\\' and NUL")
+        # surrogatepass: a name taken from a file path may hold the
+        # escapes of bytes that are not UTF-8
+        size = len(self.name.encode("utf-8", "surrogatepass"))
+        if size > MAX_NAME_BYTES:
+            raise ConfigError(f"scenario name of {size} bytes is longer "
+                              f"than {MAX_NAME_BYTES} bytes in UTF-8")
         if self.controller not in CONTROLLERS:
             raise ConfigError(f"unknown controller {self.controller!r}")
         if not (0.0 <= self.v0 and self.v0 / R_W <= BLOW_UP_LIMIT):

@@ -15,6 +15,16 @@ from plant_state import Inputs
 from staballoc.params import VehicleParams
 from staballoc.plant import _reg, normal_forces
 
+
+def left_sum(values: Sequence[float]) -> float:
+    """0.0 plus each value in turn: the additions Python 3.11's sum()
+    makes, which sum() no longer makes from 3.12 on (it compensates)."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 # ---------------------------------------------------------------------------
 # tire primitives
 
@@ -190,7 +200,8 @@ def chassis_derivative(x: Sequence[float], f_x: Sequence[float],
                             p.mu * normals[i] * lat_scale[i])
         fx_body[i], fy_body[i] = wheel_frame_to_body(f_x[i], f_y, steer[i])
 
-    a_x, a_y = body_accelerations(sum(fx_body), sum(fy_body), v_x, p)
+    a_x, a_y = body_accelerations(left_sum(fx_body), left_sum(fy_body),
+                                  v_x, p)
     rdot = yaw_acceleration(fx_body, fy_body, p)
 
     zdd, thetadd, phidd, zudd_fl, zudd_fr, zudd_rl, zudd_rr = \

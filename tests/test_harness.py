@@ -796,6 +796,30 @@ class TestCli:
         assert f"dt={float(dt)!r}" in err and "horizon" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "high_speed.scn", "--dt", "abc"],
+        ["run", "high_speed.scn", "--controller", "pid"],
+        ["run", "high_speed.scn", "--dt", "-inf"],
+        ["run", "--out", "out"],
+        []])
+    def test_usage_error_is_config_error_and_writes_nothing(
+            self, tmp_path, scenario_dir, monkeypatch, capsys, argv):
+        # exit 2 would read as a diverged plant
+        monkeypatch.chdir(tmp_path)
+        argv = [str(scenario_dir / a) if a.endswith(".scn") else a
+                for a in argv]
+        assert cli_main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("configuration error: ")
+        assert captured.err.count("\n") == 1 and not captured.out
+        assert list(tmp_path.iterdir()) == []
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as stop:
+            cli_main(["run", "--help"])
+        assert stop.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: staballoc run")
+
     def test_module_entry_point_runs_from_a_checkout(self, tmp_path,
                                                     scenario_dir):
         # `python -m staballoc` with only the source tree on the path

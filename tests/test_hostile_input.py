@@ -12,9 +12,9 @@ raises.
 The ordinary values keep every run that starts to at most 50 steps (a
 horizon of at most 0.025 s at a step of at least 0.5 ms), and every
 pairing of a hostile horizon and step either breaks a rule or gives one
-step.  --dt takes only text that float() reads (HOSTILE_FLOATS among it),
-since argparse rejects anything else with its own usage error before the
-command runs.
+step.  --dt takes any text, in the "--dt=x" or the "--dt x" form: what the
+parser rejects ("x", "", "-inf" read as an option) is a configuration error
+too.
 """
 import contextlib
 import io
@@ -128,8 +128,8 @@ def run_argv(draw):
     directory that holds an empty directory `dir` and a file `file`."""
     argv = []
     if draw(st.booleans()):
-        # the "=" form, since "--dt -inf" reads as an option
-        argv.append(f"--dt={value(draw, STEPS, HOSTILE_FLOATS)}")
+        dt = value(draw, STEPS, HOSTILE_FLOATS + HOSTILE)
+        argv += [f"--dt={dt}"] if draw(st.booleans()) else ["--dt", dt]
     if draw(st.booleans()):
         argv += ["--controller", draw(st.sampled_from(CONTROLLERS))]
     argv += ["--out", draw(st.sampled_from(

@@ -8,8 +8,9 @@ from staballoc.cli import main as cli_main
 from staballoc.controllers import C_ALPHA_RANGE, AllocatorConfig, Gains
 from staballoc.params import VehicleParams
 from staballoc.plant import BLOW_UP_LIMIT
-from staballoc.scenario import (EVENT_TARGETS, ConfigError, Event,
-                                Scenario, load_scenario, parse_scenario)
+from staballoc.scenario import (EVENT_TARGETS, MAX_NAME_BYTES, ConfigError,
+                                Event, Scenario, load_scenario,
+                                parse_scenario)
 
 GOOD = """
 # a comment
@@ -249,6 +250,55 @@ class TestScenarioName:
                          "--out", str(work / "out")]) == 3
         assert "configuration error" in capsys.readouterr().err
         assert [p for p in tmp_path.rglob("*") if p.is_file()] == [scn_file]
+
+
+class TestScenarioNameLength:
+    """Every output file name, f"{name}_{controller}_timeseries.svg" the
+    longest, must fit the 255 bytes a file system holds."""
+    TAIL = "v0 = 10\nhorizon = 0.005\ndt = 0.001\n"
+    # MAX_NAME_BYTES in UTF-8: ASCII, and two-byte letters
+    AT = ["n" * MAX_NAME_BYTES, "ü" * (MAX_NAME_BYTES // 2) + "n"]
+    OVER = ["n" * (MAX_NAME_BYTES + 1), "ü" * (MAX_NAME_BYTES // 2 + 1)]
+
+    def run(self, tmp_path, name):
+        work = tmp_path / "work"
+        work.mkdir()
+        scn_file = work / "long.scn"
+        scn_file.write_text(f"[scenario]\nname = {name}\n" + self.TAIL,
+                            encoding="utf-8")
+        code = cli_main(["run", str(scn_file), "--controller", "baseline",
+                         "--svg", "--out", str(work / "out")])
+        return code, work / "out"
+
+    def test_bound_leaves_room_for_the_longest_suffix(self):
+        assert MAX_NAME_BYTES == 255 - len("_proposed_timeseries.svg")
+
+    @pytest.mark.parametrize("name", AT)
+    def test_name_at_the_bound_runs_and_writes_every_file(self, tmp_path,
+                                                          capsys, name):
+        assert len(name.encode()) == MAX_NAME_BYTES
+        code, out = self.run(tmp_path, name)
+        assert code == 0, capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == [
+            f"{name}_baseline{suffix}" for suffix in
+            (".csv", "_timeseries.svg", "_trajectory.svg")]
+
+    @pytest.mark.parametrize("name", OVER)
+    def test_name_over_the_bound_is_config_error_and_writes_nothing(
+            self, tmp_path, capsys, name):
+        assert len(name.encode()) == MAX_NAME_BYTES + 1
+        code, out = self.run(tmp_path, name)
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.startswith("configuration error: scenario name")
+        assert captured.err.count("\n") == 1 and not captured.out
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", OVER)
+    def test_name_over_the_bound_in_code_rejected(self, name):
+        scn = parse_scenario("[scenario]\n" + self.TAIL)
+        with pytest.raises(ConfigError, match="scenario name"):
+            dataclasses.replace(scn, name=name)
 
 
 class TestProfileErrors:
