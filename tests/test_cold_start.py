@@ -1,6 +1,8 @@
 """What a fresh interpreter loads: NumPy only for the runs and commands
-that use arrays (the allocator modes and the linear analysis), and every
-name the package and the benchmark's tracer look up still resolves.
+that use arrays (the allocator modes and the linear analysis). The package
+itself loads none of its modules: it resolves only `allocator`, `linmodel`
+and `stability` on first use, and every name the benchmark's tracer looks
+up still resolves.
 
 Each check runs in a subprocess, because the suite itself has NumPy loaded.
 """
@@ -54,7 +56,8 @@ def cli_imports(*argv, cwd):
 
 
 def run_code(controller):
-    return ("from staballoc import parse_scenario, run_scenario\n"
+    return ("from staballoc.harness import run_scenario\n"
+            "from staballoc.scenario import parse_scenario\n"
             f"log = run_scenario(parse_scenario({TINY!r}), "
             f"controller={controller!r})\n"
             "assert len(log) == 50 and not log.diverged")
@@ -100,14 +103,18 @@ class TestNumpyStaysUnloaded:
             "assert bn_is_invertible((1.0,) * 12)\n"
             "assert not bn_is_invertible((math.nan,) + (1.0,) * 11)")
 
-    def test_every_exported_name_resolves(self):
-        assert numpy_after(
-            "import staballoc\n"
-            "missing = [n for n in staballoc.__all__\n"
-            "           if not hasattr(staballoc, n)]\n"
-            "assert not missing, missing\n"
-            "assert set(staballoc.__all__) <= set(dir(staballoc))\n"
-            "from staballoc import *")
+    def test_package_loads_no_module_and_resolves_the_array_ones(self):
+        assert numpy_after("""if True:
+            import sys
+            import staballoc
+            loaded = [m for m in sys.modules if m.startswith("staballoc.")]
+            assert not loaded and "numpy" not in sys.modules, loaded
+            for name in ("allocator", "linmodel", "stability"):
+                module = getattr(staballoc, name)
+                assert module is sys.modules[f"staballoc.{name}"], name
+            for name in ("run_scenario", "AdaptiveAllocator", "nothing"):
+                assert not hasattr(staballoc, name), name
+            """)
 
 
 def test_tracer_bindings_resolve_on_a_fresh_import():
