@@ -16,6 +16,6 @@ __version__ = "0.1.0"
 def __getattr__(name: str):
     # the array modules, and with them NumPy, load on first use (PEP 562):
     # a baseline run never needs them
-    if name in ("allocator", "linmodel", "stability"):
+    if name in ("allocator", "stability"):
         return import_module(f".{name}", __name__)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

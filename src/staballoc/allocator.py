@@ -9,9 +9,14 @@ theta is adjusted online with a Lyapunov-based law under an entrywise box
 projection, so the realized efforts converge to v without identifying
 which actuators lost effectiveness.  The allocated command is
 u = B_n(t)^-1 u_bar; the harness adds the driver's front steering to it.
-The settings (AllocatorConfig) and the per-step inputs (the diagonal of
-B_n and the IMU net efforts) are plain floats from controllers.py, so
-only the allocator modes import this module and NumPy.
+
+The effort map factors exactly as B_y(t) = B_l B_n(t).  The constant B_l
+(build_bl) takes its moment-arm signs from the plant's yaw, roll and
+pitch equations; the diagonal B_n(t) carries all time dependence (normal
+loads and steering angles).  The settings (AllocatorConfig) and the
+per-step inputs (the diagonal of B_n and the IMU net efforts) are plain
+floats from controllers.py, so only the allocator modes import this
+module and NumPy.
 
 Effort channels are pre-scaled to order one (forces and moments are in the
 kN range) so a single scalar adaptation rate is meaningful.
@@ -25,6 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .controllers import AllocatorConfig, bn_is_invertible
+from .params import VehicleParams
 
 
 def solve_lyapunov(a_m: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -58,6 +64,29 @@ def init_theta(b_l: np.ndarray) -> np.ndarray:
     if np.linalg.matrix_rank(b_l) < b_l.shape[0]:
         raise ValueError("effort map must have full row rank")
     return np.linalg.pinv(b_l)
+
+
+def build_bl(p: VehicleParams, c_alpha: float) -> np.ndarray:
+    """Constant factor of the effort map, columns ordered as the actuator
+    vector (4 steer, 4 torque, 4 suspension)."""
+    a, b, w, rw, m = p.a, p.b, p.w, p.R_w, p.m
+    cm4 = c_alpha * m / 4.0
+    hw = 0.5 * w
+    cols = [
+        [0.0, cm4, a * cm4, 0.0, 0.0],       # d_fl
+        [0.0, cm4, a * cm4, 0.0, 0.0],       # d_fr
+        [0.0, cm4, -b * cm4, 0.0, 0.0],      # d_rl
+        [0.0, cm4, -b * cm4, 0.0, 0.0],      # d_rr
+        [1.0 / rw, 0.0, -hw, 0.0, 0.0],      # T_fl (left wheels: -w/2)
+        [1.0 / rw, 0.0, hw, 0.0, 0.0],       # T_fr
+        [1.0 / rw, 0.0, -hw, 0.0, 0.0],      # T_rl
+        [1.0 / rw, 0.0, hw, 0.0, 0.0],       # T_rr
+        [0.0, 0.0, 0.0, hw, -a],             # fz_fl
+        [0.0, 0.0, 0.0, -hw, -a],            # fz_fr
+        [0.0, 0.0, 0.0, hw, b],              # fz_rl
+        [0.0, 0.0, 0.0, -hw, b],             # fz_rr
+    ]
+    return np.array(cols).T
 
 
 def project_rate(theta: np.ndarray, q: np.ndarray, lo: np.ndarray,

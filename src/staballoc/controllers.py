@@ -298,7 +298,7 @@ def baseline_suspension(theta: float, phi: float, g: Gains,
 def build_bn(steer: Sequence[float], normals: Sequence[float],
              p: VehicleParams) -> Tuple[float, ...]:
     """Diagonal of the time-varying factor of the effort map B_y(t) =
-    B_l B_n(t) (linmodel.build_bl is B_l): 4*N_i*cos(d_i)/m for the
+    B_l B_n(t) (allocator.build_bl is B_l): 4*N_i*cos(d_i)/m for the
     steering channels, cos(d_i) for the torque channels, 1 for
     suspension."""
     cd = [math.cos(s) for s in steer]

@@ -156,8 +156,8 @@ def run_scenario(scn: Scenario, controller: Optional[str] = None,
     is not positive, raises ConfigError before any step.  The run stops early
     with a partial log when the plant diverges, or after the first step
     whose logged |beta| reaches beta_limit; up to there the log is the same
-    as that of the full run.  Only the allocator modes import the array
-    code (allocator, linmodel) and with it NumPy.
+    as that of the full run.  Only the allocator modes import the allocator
+    and with it NumPy.
     """
     if not beta_limit > 0.0:
         raise ConfigError(f"beta_limit {beta_limit!r} is not positive")
@@ -167,8 +167,7 @@ def run_scenario(scn: Scenario, controller: Optional[str] = None,
 
     allocator = None
     if mode in ("proposed", "hybrid"):
-        from .allocator import AdaptiveAllocator
-        from .linmodel import build_bl
+        from .allocator import AdaptiveAllocator, build_bl
         allocator = AdaptiveAllocator(build_bl(p, scn.allocator.c_alpha),
                                       scn.allocator)
     loop = _Loop(mode=mode, gains=scn.gains, cs=ControllerState(),

@@ -9,17 +9,81 @@ longitudinal force feedback
 F = m*ax closes through an algebraic loop that is solved exactly.  The
 verdict is the largest real part over the eigenvalues of the assembled
 matrix.
+
+A is the state matrix of a 17-state control model, taken by central
+differences over the plant's chassis core.  It drops the wheel-spin
+states: wheel torque acts directly as the traction force T/R_w
+(quasi-static torque balance).  B_v maps the five efforts onto the state
+rows.
 """
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
 from .controllers import Gains
-from .linmodel import build_bv, linearize
 from .params import VehicleParams
+from .plant import ZERO4, bind, normal_forces
+
+N_X = 17
+N_U = 12
+
+FD_STEP = 1.0e-6  # central-difference step, relative to max(1, |x0_j|)
 
 # control-state indices
 IX_VY, IX_R, IX_PHI, IX_PHID, IX_THETA, IX_THETAD = 1, 2, 5, 6, 7, 8
+
+
+def reduced_derivative(x: Sequence[float], u: Sequence[float],
+                       p: VehicleParams) -> np.ndarray:
+    """Control-oriented vector field on the 17 states.
+
+    Wheels are eliminated quasi-statically: the traction force of wheel i is
+    T_i/R_w, with rolling resistance deliberately left unmodeled here (the
+    closed loop treats it as a disturbance).  Lateral forces use the full
+    tire curve at the slip angles implied by the state at the 12-entry
+    actuator vector u, on a flat road with unit friction scales.
+    """
+    plant = bind(p)
+    f_x = [t / p.R_w for t in u[4:8]]
+    normals = normal_forces((x[9], x[11], x[13], x[15]), ZERO4, p)
+    _, _, ci = plant.step_inputs(u, ZERO4, (1.0, 1.0, 1.0, 1.0))
+    return np.array(plant.chassis(x, f_x, normals, ci))
+
+
+def linearize(p: VehicleParams, v0: float) -> np.ndarray:
+    """State matrix A (17 x 17) of the control-oriented model, by central
+    differences at straight driving with speed v0, zero inputs and static
+    normal loads."""
+    if v0 <= 0.0:
+        raise ValueError("v0 must be positive")
+    x0 = np.zeros(N_X)
+    x0[0] = v0
+    u0 = np.zeros(N_U)
+
+    a = np.zeros((N_X, N_X))
+    for j in range(N_X):
+        h = FD_STEP * max(1.0, abs(x0[j]))
+        xp = x0.copy()
+        xm = x0.copy()
+        xp[j] += h
+        xm[j] -= h
+        a[:, j] = (reduced_derivative(xp, u0, p)
+                   - reduced_derivative(xm, u0, p)) / (2.0 * h)
+    return a
+
+
+def build_bv(p: VehicleParams) -> np.ndarray:
+    """Map the 5 generalized efforts [F, Fy, Mz, Mx, My] onto the state rows
+    (Vx', Vy', r', phid', thetad') with the inverse inertias."""
+    b_v = np.zeros((N_X, 5))
+    b_v[0, 0] = 1.0 / p.m
+    b_v[1, 1] = 1.0 / p.m
+    b_v[2, 2] = 1.0 / p.I_z
+    b_v[6, 3] = 1.0 / p.I_x
+    b_v[8, 4] = 1.0 / p.I_y
+    return b_v
 
 
 def closed_loop_matrix(g: Gains, v0: float, p: VehicleParams) -> np.ndarray:

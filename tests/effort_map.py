@@ -4,7 +4,7 @@
 straight from the yaw, roll and pitch arms of the plant, so the tests can
 check B_y(t) == B_l @ diag(B_n(t)) against an independent construction.
 `linear_model` adds the input matrix B_u and the residual D to the state
-matrix that `staballoc.linmodel.linearize` returns, and `theta_star` and
+matrix that `staballoc.stability.linearize` returns, and `theta_star` and
 `lyapunov_value` evaluate the allocator's adaptation law for a known
 effectiveness diagonal.  A run needs none of them.
 """
@@ -16,9 +16,9 @@ import numpy as np
 
 from staballoc.allocator import AdaptiveAllocator, init_theta
 from staballoc.controllers import C_ALPHA_DEFAULT
-from staballoc.linmodel import FD_STEP, N_U, N_X, linearize, \
-    reduced_derivative
 from staballoc.params import VehicleParams
+from staballoc.stability import FD_STEP, N_U, N_X, linearize, \
+    reduced_derivative
 
 # rows of the control state corresponding to heave and unsprung elevations;
 # actuator sensitivities on these rows are zeroed so every input acts as a

@@ -13,19 +13,19 @@ import pytest
 import golden
 from effort_map import build_by, lyapunov_value, theta_star
 from plant_state import Inputs, PlantState
-from staballoc.allocator import AdaptiveAllocator, solve_lyapunov
+from staballoc.allocator import AdaptiveAllocator, build_bl, solve_lyapunov
 from staballoc.cli import FIGURE_PAIRS
 from staballoc.controllers import C_ALPHA_DEFAULT, AllocatorConfig, Gains, \
     build_bn
 from staballoc.harness import (BETA_LIMIT, override, run_scenario,
                                sweep_max_speed)
-from staballoc.linmodel import build_bl, linearize, reduced_derivative
 from staballoc.logio import emit_csv
 from staballoc.metrics import compute_metrics
 from staballoc.params import VehicleParams
 from staballoc.plant import normal_forces, step_rk4
 from staballoc.scenario import load_scenario
-from staballoc.stability import max_closed_loop_eig
+from staballoc.stability import linearize, max_closed_loop_eig, \
+    reduced_derivative
 
 P = VehicleParams()
 

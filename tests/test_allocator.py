@@ -8,12 +8,11 @@ from hypothesis import given, settings, strategies as st
 import reference_allocator as reference
 from effort_map import lyapunov_value, theta_star
 from staballoc import allocator
-from staballoc.allocator import (AdaptiveAllocator, init_theta, project_rate,
-                                 solve_lyapunov)
+from staballoc.allocator import (AdaptiveAllocator, build_bl, init_theta,
+                                 project_rate, solve_lyapunov)
 from staballoc.controllers import (C_ALPHA_DEFAULT, AllocatorConfig,
                                    bn_is_invertible, build_bn, measured_net)
 from staballoc.harness import run_scenario
-from staballoc.linmodel import build_bl
 from staballoc.params import ConfigError, VehicleParams
 from staballoc.scenario import load_scenario
 

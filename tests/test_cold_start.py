@@ -1,8 +1,9 @@
 """What a fresh interpreter loads: NumPy only for the runs and commands
-that use arrays (the allocator modes and the linear analysis). The package
-itself loads none of its modules: it resolves only `allocator`, `linmodel`
-and `stability` on first use, and every name the benchmark's tracer looks
-up still resolves.
+that use arrays (the allocator modes and the linear analysis), and one
+array module for each: `allocator` for an allocator run, `stability` for
+`staballoc stability`. The package itself loads none of its modules: it
+resolves only `allocator` and `stability` on first use, and every name the
+benchmark's tracer looks up still resolves.
 
 Each check runs in a subprocess, because the suite itself has NumPy loaded.
 """
@@ -109,12 +110,27 @@ class TestNumpyStaysUnloaded:
             import staballoc
             loaded = [m for m in sys.modules if m.startswith("staballoc.")]
             assert not loaded and "numpy" not in sys.modules, loaded
-            for name in ("allocator", "linmodel", "stability"):
+            for name in ("allocator", "stability"):
                 module = getattr(staballoc, name)
                 assert module is sys.modules[f"staballoc.{name}"], name
-            for name in ("run_scenario", "AdaptiveAllocator", "nothing"):
+            for name in ("linmodel", "run_scenario", "AdaptiveAllocator",
+                         "nothing"):
                 assert not hasattr(staballoc, name), name
             """)
+
+
+def test_each_array_command_loads_one_array_module(tmp_path):
+    array_modules = {"staballoc.allocator", "staballoc.linmodel",
+                     "staballoc.stability"}
+    scn = tmp_path / "tiny.scn"
+    scn.write_text(TINY)
+    code, modules = cli_imports("run", str(scn), "--controller", "proposed",
+                                "--out", str(tmp_path), cwd=tmp_path)
+    assert code == 0 and (tmp_path / "tiny_proposed.csv").is_file()
+    assert modules & array_modules == {"staballoc.allocator"}
+    code, modules = cli_imports("stability", "--v0", "20", cwd=tmp_path)
+    assert code == 0
+    assert modules & array_modules == {"staballoc.stability"}
 
 
 def test_tracer_bindings_resolve_on_a_fresh_import():

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import reference_plant as ref
 from plant_state import Inputs, PlantState
 from staballoc import harness
-from staballoc.allocator import AdaptiveAllocator
+from staballoc.allocator import AdaptiveAllocator, build_bl
 from staballoc.cli import main as cli_main
 from staballoc.controllers import (C_ALPHA_DEFAULT, AllocatorConfig,
                                    ControllerState, Gains, build_bn,
@@ -23,7 +23,6 @@ from staballoc.controllers import (C_ALPHA_DEFAULT, AllocatorConfig,
 from staballoc.harness import (BETA_LIMIT, _Loop, apply_faults, clip_u,
                                friction_scale, measure, override,
                                road_elevation, run_scenario, sweep_max_speed)
-from staballoc.linmodel import build_bl
 from staballoc.logio import CSV_COLUMNS, RunLog
 from staballoc.metrics import compute_metrics
 from staballoc.params import VehicleParams

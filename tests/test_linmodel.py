@@ -5,11 +5,11 @@ import pytest
 
 from effort_map import ZEROED_ROWS, build_by, build_d, linear_model
 from plant_state import Inputs, PlantState
+from staballoc.allocator import build_bl
 from staballoc.controllers import C_ALPHA_DEFAULT, bn_is_invertible, \
     build_bn
-from staballoc.linmodel import build_bl, build_bv, linearize, \
-    reduced_derivative
 from staballoc.plant import state_derivative
+from staballoc.stability import build_bv, linearize, reduced_derivative
 
 STATIC_STEER = (0.0, 0.0, 0.0, 0.0)
 

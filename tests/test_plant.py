@@ -12,11 +12,11 @@ from reference_plant import (body_accelerations, longitudinal_slip,
                              magic_formula, rk4, slip_angles,
                              vertical_derivatives, wheel_spin_derivative,
                              yaw_acceleration)
-from staballoc.linmodel import reduced_derivative
 from staballoc.params import G, ConfigError, VehicleParams
 from staballoc.plant import (STATE_NAMES, V_EPS, PlantDiverged, bind,
                              clip_u, normal_forces, state_derivative,
                              step_rk4)
+from staballoc.stability import reduced_derivative
 
 ZERO4 = (0.0, 0.0, 0.0, 0.0)
 
